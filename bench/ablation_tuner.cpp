@@ -1,7 +1,8 @@
 // Ablation (ours): the plan-caching auto-tuner (docs/tuning.md).
 //
-// Phase 1 measures the explicit all-reduce engines on a tuner-off team —
-// exactly the offline campaign a user would feed to `plan_check warm`.
+// Phase 1 measures the explicit all-reduce engines (the slot arm where it
+// fits) on a tuner-off team — exactly the offline campaign a user would
+// feed to `plan_check warm`.
 // The session report is converted in-process with plan::warm_from_bench
 // and loaded into a prior-mode team, then phase 2 runs the automatic
 // switch on both teams over the same sizes:
@@ -70,6 +71,11 @@ int main() {
     for (const std::size_t b : sizes)
       measure_arm(team_static, session, "allreduce", name, bufs,
                   allreduce_arm(alg), b);
+  // The slot arm serves only p·s <= rt::kSlotNodeBytes.
+  for (const std::size_t b : sizes)
+    if (rt::slot_fits(p, b))
+      measure_arm(team_static, session, "allreduce", "slot", bufs,
+                  allreduce_arm(coll::Algorithm::slot), b);
 
   // Warm the plan cache from those measurements (the in-process version of
   // `plan_check warm BENCH.json PLAN.json` + $YHCCL_PLAN_FILE).

@@ -3,19 +3,24 @@
 // 65536:268435456`), reimplemented over YHCCL teams.
 //
 //   $ ./examples/osu_microbench <collective> [-n ranks] [-s sockets]
-//        [-m min:max] [-c] [-a algorithm]
+//        [-m min:max] [-i iters] [-c] [-a algorithm]
 //
 //   collective: allreduce | reduce | reduce_scatter | bcast | allgather
 //               | alltoall
 //   -m min:max  message size sweep in bytes (powers of two)
-//   -c          validate results against a reference reduction
-//   -a          auto | ma | socket-ma | dpml-2l   (reductions only)
+//   -i iters    timed calls per size (default: 2000 up to 64 KB, 50 above)
+//   -c          validate allreduce / reduce / bcast results element-wise
+//   -a          auto | slot | ma | socket-ma | dpml-2l | pipelined
 //
-// Prints the OSU columns: size, average latency (us), min/max across
-// repetitions.
+// Like OSU, every size runs inside one Team::run: a warm-up, a barrier,
+// then `iters` back-to-back calls, so rank wake-up is not part of the
+// time.  Columns: size, then the per-call latency (us) averaged over the
+// ranks and its min/max across ranks, then the average in units of one
+// node barrier measured the same way in the same run.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,6 +39,7 @@ struct Args {
   int sockets = 2;
   std::size_t min_bytes = 16 << 10;
   std::size_t max_bytes = 16 << 20;
+  int iters = 0;  ///< 0: by size
   bool check = false;
   coll::Algorithm algo = coll::Algorithm::automatic;
 };
@@ -48,6 +54,7 @@ Args parse(int argc, char** argv) {
     };
     if (s == "-n") a.ranks = std::atoi(next());
     else if (s == "-s") a.sockets = std::atoi(next());
+    else if (s == "-i") a.iters = std::atoi(next());
     else if (s == "-c") a.check = true;
     else if (s == "-m") {
       const std::string range = next();
@@ -59,12 +66,24 @@ Args parse(int argc, char** argv) {
                                         10);
     } else if (s == "-a") {
       const std::string v = next();
-      if (v == "ma") a.algo = coll::Algorithm::ma_flat;
-      else if (v == "socket-ma") a.algo = coll::Algorithm::ma_socket_aware;
-      else if (v == "dpml-2l") a.algo = coll::Algorithm::dpml_two_level;
+      for (const auto alg :
+           {coll::Algorithm::automatic, coll::Algorithm::slot,
+            coll::Algorithm::ma_flat, coll::Algorithm::ma_socket_aware,
+            coll::Algorithm::dpml_two_level, coll::Algorithm::pipelined})
+        if (v == coll::algorithm_name(alg)) a.algo = alg;
     }
   }
   return a;
+}
+
+/// Seconds per call of `body`, timed on this rank after a barrier.
+template <class Body>
+double time_calls(rt::RankCtx& ctx, int iters, Body&& body) {
+  for (int i = 0; i < std::max(iters / 10, 1); ++i) body();
+  ctx.barrier();
+  const double t0 = wall_seconds();
+  for (int i = 0; i < iters; ++i) body();
+  return (wall_seconds() - t0) / iters;
 }
 
 }  // namespace
@@ -76,69 +95,96 @@ int main(int argc, char** argv) {
   cfg.nsockets = std::min(a.sockets, a.ranks);
   rt::ThreadTeam team(cfg);
   const int p = a.ranks;
+  const std::string& c = a.collective;
 
   std::printf("# YHCCL OSU-style %s benchmark (p=%d, m=%d, algo=%s%s)\n",
-              a.collective.c_str(), p, cfg.nsockets,
-              coll::algorithm_name(a.algo), a.check ? ", -c" : "");
-  std::printf("%-12s %12s %12s %12s\n", "# Size", "Avg(us)", "Min(us)",
-              "Max(us)");
+              c.c_str(), p, cfg.nsockets, coll::algorithm_name(a.algo),
+              a.check ? ", -c" : "");
+  std::printf("%-12s %12s %12s %12s %10s\n", "# Size", "Avg(us)", "Min(us)",
+              "Max(us)", "Barriers");
 
+  std::vector<double> per_rank(static_cast<std::size_t>(p));
+  std::vector<double> barrier_s(static_cast<std::size_t>(p));
   for (std::size_t bytes = a.min_bytes; bytes <= a.max_bytes; bytes *= 2) {
     const std::size_t count = std::max<std::size_t>(bytes / 8, 1);
+    const std::size_t rcount =
+        c == "allgather" || c == "alltoall" ? count * p : count;
     coll::CollOpts opts;
     opts.algorithm = a.algo;
     std::vector<std::vector<double>> send(p), recv(p);
     for (int r = 0; r < p; ++r) {
       send[r].assign(count, 1.0 + r);
-      recv[r].assign(count * (a.collective == "allgather" ||
-                                      a.collective == "alltoall"
-                                  ? static_cast<std::size_t>(p)
-                                  : 1),
-                     0.0);
+      recv[r].assign(rcount, 0.0);
     }
-    const int iters = bytes >= (4u << 20) ? 5 : 10;
-    double sum = 0, mn = 1e30, mx = 0;
-    bool ok = true;
-    for (int it = 0; it < iters + 1; ++it) {
-      team.run([&](rt::RankCtx& ctx) {
-        const int r = ctx.rank();
-        if (a.collective == "allreduce")
-          coll::allreduce(ctx, send[r].data(), recv[r].data(), count,
-                          Datatype::f64, ReduceOp::sum, opts);
-        else if (a.collective == "reduce")
-          coll::reduce(ctx, send[r].data(), recv[r].data(), count,
-                       Datatype::f64, ReduceOp::sum, 0, opts);
-        else if (a.collective == "reduce_scatter")
-          coll::reduce_scatter(ctx, send[r].data(), recv[r].data(),
-                               count / static_cast<std::size_t>(p),
+    if (c == "bcast") recv[0] = send[0];  // the root's payload
+    const int iters =
+        a.iters > 0 ? a.iters : bytes <= (64u << 10) ? 2000 : 50;
+    team.run([&](rt::RankCtx& ctx) {
+      const int r = ctx.rank();
+      double* sb = send[r].data();
+      double* rb = recv[r].data();
+      std::function<void()> call;
+      if (c == "allreduce")
+        call = [&] {
+          coll::allreduce(ctx, sb, rb, count, Datatype::f64, ReduceOp::sum,
+                          opts);
+        };
+      else if (c == "reduce")
+        call = [&] {
+          coll::reduce(ctx, sb, r == 0 ? rb : nullptr, count, Datatype::f64,
+                       ReduceOp::sum, 0, opts);
+        };
+      else if (c == "reduce_scatter")
+        call = [&] {
+          coll::reduce_scatter(ctx, sb, rb, count / static_cast<std::size_t>(p),
                                Datatype::f64, ReduceOp::sum, opts);
-        else if (a.collective == "bcast")
-          coll::broadcast(ctx, recv[r].data(), count, Datatype::f64, 0,
-                          opts);
-        else if (a.collective == "allgather")
-          coll::allgather(ctx, send[r].data(), recv[r].data(),
-                          count / static_cast<std::size_t>(p), Datatype::f64,
-                          opts);
-        else if (a.collective == "alltoall")
-          coll::alltoall(ctx, send[r].data(), recv[r].data(),
-                         count / static_cast<std::size_t>(p), Datatype::f64,
-                         opts);
-        else
-          raise("unknown collective: " + a.collective);
-      });
-      if (it == 0) continue;  // warm-up
-      const double t = team.max_time() * 1e6;
-      sum += t;
-      mn = std::min(mn, t);
-      mx = std::max(mx, t);
+        };
+      else if (c == "bcast")
+        call = [&] {
+          coll::broadcast(ctx, rb, count, Datatype::f64, 0, opts);
+        };
+      else if (c == "allgather")
+        call = [&] {
+          coll::allgather(ctx, sb, rb, count / static_cast<std::size_t>(p),
+                          Datatype::f64, opts);
+        };
+      else if (c == "alltoall")
+        call = [&] {
+          coll::alltoall(ctx, sb, rb, count / static_cast<std::size_t>(p),
+                         Datatype::f64, opts);
+        };
+      else
+        raise("unknown collective: " + c);
+      per_rank[static_cast<std::size_t>(r)] = time_calls(ctx, iters, call);
+      barrier_s[static_cast<std::size_t>(r)] =
+          time_calls(ctx, 2000, [&] { ctx.barrier(); });
+    });
+    double sum = 0, mn = 1e30, mx = 0, bar = 0;
+    for (int r = 0; r < p; ++r) {
+      sum += per_rank[r];
+      mn = std::min(mn, per_rank[r]);
+      mx = std::max(mx, per_rank[r]);
+      bar += barrier_s[r];
     }
-    if (a.check && a.collective == "allreduce") {
-      const double expect = p * (p + 1) / 2.0;
-      for (int r = 0; r < p && ok; ++r)
-        ok = recv[r][count / 2] == expect;
+    bool ok = true;
+    if (a.check) {
+      // Every rank's operand is 1 + rank, so every reduced element is
+      // p(p+1)/2 and every broadcast element the root's 1.0.
+      const double sumv = p * (p + 1) / 2.0;
+      const auto all_equal = [&](const std::vector<double>& v, double x) {
+        return std::all_of(v.begin(), v.end(),
+                           [x](double y) { return y == x; });
+      };
+      if (c == "allreduce")
+        for (int r = 0; r < p; ++r) ok = ok && all_equal(recv[r], sumv);
+      else if (c == "reduce")
+        ok = all_equal(recv[0], sumv);
+      else if (c == "bcast")
+        for (int r = 0; r < p; ++r) ok = ok && all_equal(recv[r], 1.0);
     }
-    std::printf("%-12zu %12.2f %12.2f %12.2f%s\n", bytes, sum / iters, mn,
-                mx, a.check ? (ok ? "  [OK]" : "  [FAILED]") : "");
+    std::printf("%-12zu %12.2f %12.2f %12.2f %10.2f%s\n", bytes,
+                sum / p * 1e6, mn * 1e6, mx * 1e6, sum / bar,
+                a.check ? (ok ? "  [OK]" : "  [FAILED]") : "");
     if (!ok) return 1;
   }
   return 0;

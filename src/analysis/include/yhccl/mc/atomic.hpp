@@ -20,7 +20,10 @@
 // The YHCCL_MC_ORDER(point, order) macro names the protocol-critical memory
 // orders the checker can *mutate*: under a seeded weakening (WeakPoint) the
 // named order is demoted to relaxed, and the checker must catch the
-// resulting protocol violation.  The real call sites stay the single source
+// resulting protocol violation.  YHCCL_MC_STEP(point) names a whole
+// protocol step instead (a wait that guards buffer reuse): it is true
+// except while the checker runs with that point mutated, which drops the
+// step.  The real call sites stay the single source
 // of truth — mutations are applied to the production code path, not to a
 // model of it.
 #pragma once
@@ -56,6 +59,7 @@ enum class WeakPoint : std::uint8_t {
   ring_push_release,      ///< trace ring push: counter store(release)
   plan_claim_release,     ///< plan registry: claiming hash CAS (acq_rel)
   quar_publish_release,   ///< plan quarantine: mark CAS (acq_rel)
+  slot_reuse_guard,       ///< slot protocol: the whole reuse-guard wait
   kCount_,
 };
 
@@ -79,6 +83,7 @@ inline const char* weak_point_name(WeakPoint p) noexcept {
     case WeakPoint::ring_push_release: return "ring_push_release";
     case WeakPoint::plan_claim_release: return "plan_claim_release";
     case WeakPoint::quar_publish_release: return "quar_publish_release";
+    case WeakPoint::slot_reuse_guard: return "slot_reuse_guard";
     case WeakPoint::kCount_: break;
   }
   return "?";
@@ -102,6 +107,7 @@ inline bool session_active() noexcept { return false; }
 
 #define YHCCL_MC_ORDER(point, ...) (__VA_ARGS__)
 #define YHCCL_MC_FENCE(point, ...) ::std::atomic_thread_fence(__VA_ARGS__)
+#define YHCCL_MC_STEP(point) true
 
 #else  // YHCCL_MC
 
@@ -262,6 +268,10 @@ static_assert(sizeof(atomic<std::uint64_t>) == sizeof(std::atomic<std::uint64_t>
 #define YHCCL_MC_FENCE(point, ...)                                    \
   ::yhccl::mc::fence(::yhccl::mc::detail::sess_order(                 \
       ::yhccl::mc::WeakPoint::point, (__VA_ARGS__)))
+#define YHCCL_MC_STEP(point)                                          \
+  (::yhccl::mc::detail::sess_order(::yhccl::mc::WeakPoint::point,     \
+                                   std::memory_order_acquire) !=      \
+   std::memory_order_relaxed)
 
 #endif  // YHCCL_MC
 

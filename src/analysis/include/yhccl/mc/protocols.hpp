@@ -14,10 +14,12 @@
 //   seqlock        RemoteWindow snapshot consistency (no torn descriptor)
 //   plan           plan-registry claim visibility + commit-after-barrier
 //   ring           trace-ring push/harvest publication
+//   slot           single-sync slot rounds: operand visibility + half reuse
 //
-// The mutation table seeds one memory-order weakening (WeakPoint) at a time
-// into the production code path; tests/test_model_check.cpp asserts the
-// checker catches every entry and that the unmutated protocols verify clean.
+// The mutation table seeds one memory-order weakening (or, for the slot
+// reuse guard, the removal of a whole wait) at a time into the production
+// code path; tests/test_model_check.cpp asserts the checker catches every
+// entry and that the unmutated protocols verify clean.
 #pragma once
 
 #ifdef YHCCL_MC

@@ -12,6 +12,7 @@
 #include "yhccl/runtime/channel.hpp"
 #include "yhccl/runtime/plan_registry.hpp"
 #include "yhccl/runtime/remote_access.hpp"
+#include "yhccl/runtime/slot.hpp"
 #include "yhccl/runtime/sync.hpp"
 #include "yhccl/trace/export.hpp"
 #include "yhccl/trace/trace.hpp"
@@ -480,19 +481,92 @@ Spec ring_spec(int n) {
   return s;
 }
 
+// ---------------------------------------------------------------------------
+// slot: the single-sync slot protocol (rt::slot_round, the sequencing
+// coll/slot.cpp runs) over a call sequence that mixes broadcast, reduce and
+// allreduce.  Payload words stand in for the slot contents; every reader
+// requires exactly its epoch's value.  At 2 ranks, call 3 rewrites the half
+// call 1 was read from while rank 0 has waited on nobody since: only the
+// reuse guard orders rank 1's call-1 read before that write.
+// ---------------------------------------------------------------------------
+
+Spec slot_spec(int n) {
+  struct St {
+    rt::PaddedFlag flags[3];
+    std::uint64_t seen[3];
+    std::uint64_t slot[2][3];  // [half][rank] operand words
+  };
+  struct Call {
+    rt::SlotOp op;
+    int root;
+  };
+  static constexpr Call kCalls2[] = {{rt::SlotOp::broadcast, 0},
+                                     {rt::SlotOp::reduce, 1},
+                                     {rt::SlotOp::broadcast, 0},
+                                     {rt::SlotOp::allreduce, 0}};
+  // Four calls cover both halves twice and are explored exhaustively at 2
+  // ranks; at 3 ranks a third call already exceeds the CI budget (200k
+  // executions), so two calls cover the multi-peer wait and post.
+  static constexpr Call kCalls3[] = {{rt::SlotOp::broadcast, 0},
+                                     {rt::SlotOp::reduce, 1}};
+  auto st = std::make_shared<St>();
+  Spec s;
+  s.nthreads = n;
+  s.reset = [st] {
+    for (int r = 0; r < 3; ++r) {
+      st->flags[r].v.store(0, std::memory_order_relaxed);
+      st->seen[r] = 0;
+      st->slot[0][r] = st->slot[1][r] = 0;
+    }
+    set_label(st->flags, sizeof st->flags, "slot-flag");
+    set_label(st->slot, sizeof st->slot, "slot-operand");
+  };
+  s.body = [st, n](int r) {
+    const auto value = [](std::uint64_t e, int rank) {
+      return 100 * e + static_cast<std::uint64_t>(rank);
+    };
+    const rt::SlotSync sync{st->flags, n, r, &st->seen[r]};
+    const int ncalls = n == 2 ? 4 : 2;
+    for (int i = 0; i < ncalls; ++i) {
+      const Call c = n == 2 ? kCalls2[i] : kCalls3[i];
+      const auto e = static_cast<std::uint64_t>(i + 1);
+      const rt::SlotRole role = rt::slot_role(c.op, r, c.root);
+      std::uint64_t* half = st->slot[e & 1];
+      const int writer = c.op == rt::SlotOp::broadcast ? c.root : r;
+      rt::slot_round(
+          sync, role, e,
+          [&] {
+            hb_write(&half[writer], sizeof half[writer], "slot write");
+            half[writer] = value(e, writer);
+          },
+          [&] {
+            for (int j = 0; j < n; ++j) {
+              if (j == r || (role.wait != rt::kSlotAll && j != role.wait))
+                continue;
+              hb_read(&half[j], sizeof half[j], "slot read");
+              require(half[j] == value(e, j),
+                      "slot reader saw another epoch's operand");
+            }
+          });
+    }
+  };
+  return s;
+}
+
 }  // namespace
 
 const std::vector<std::string>& protocol_names() {
   static const std::vector<std::string> names = {
       "flags", "barrier", "dissemination", "fifo",       "rndv",
-      "pagelock", "seqlock", "plan",        "quarantine", "ring"};
+      "pagelock", "seqlock", "plan",        "quarantine", "ring",
+      "slot"};
   return names;
 }
 
 bool protocol_supports(const std::string& name, int nthreads) {
   if (nthreads < 2) return false;
   if (name == "fifo" || name == "rndv" || name == "ring" || name == "plan" ||
-      name == "seqlock" || name == "quarantine")
+      name == "seqlock" || name == "quarantine" || name == "slot")
     return nthreads <= 3;
   return nthreads <= 4;
 }
@@ -509,6 +583,7 @@ Spec protocol_spec(const std::string& name, int nthreads) {
   if (name == "seqlock") return seqlock_spec(nthreads);
   if (name == "plan") return plan_spec(nthreads);
   if (name == "quarantine") return quarantine_spec(nthreads);
+  if (name == "slot") return slot_spec(nthreads);
   return ring_spec(nthreads);
 }
 
@@ -539,6 +614,7 @@ const std::vector<Mutation>& mutation_table() {
       {WeakPoint::ring_push_release, "ring", 2},
       {WeakPoint::plan_claim_release, "plan", 2},
       {WeakPoint::quar_publish_release, "quarantine", 2},
+      {WeakPoint::slot_reuse_guard, "slot", 2},
   };
   return table;
 }

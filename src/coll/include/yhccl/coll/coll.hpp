@@ -3,7 +3,9 @@
 // Generic entry points (allreduce, reduce, reduce_scatter, broadcast,
 // allgather) pick an algorithm per the paper's switching rules (§5.1):
 // two-level DPML for small messages, socket-aware movement-avoiding (MA)
-// reduction otherwise, flat MA when the topology has one socket.  Every
+// reduction otherwise, flat MA when the topology has one socket.  Below
+// that, allreduce, reduce and broadcast take the single-sync slot arm when
+// p·s fits rt::kSlotNodeBytes (one flag round, no barrier).  Every
 // slice copy goes through the adaptive non-temporal policy (§4) unless the
 // caller forces a policy arm for experiments.
 //
@@ -38,6 +40,7 @@ enum class Algorithm : int {
   ma_socket_aware,  ///< two-level socket-aware MA (§3.3, Fig. 7)
   dpml_two_level,   ///< hierarchical parallel reduction for small messages
   pipelined,        ///< sliced pipeline (broadcast/allgather only, §3.4)
+  slot,             ///< single-sync slot arm (allreduce/reduce/broadcast)
 };
 
 constexpr const char* algorithm_name(Algorithm a) noexcept {
@@ -47,6 +50,7 @@ constexpr const char* algorithm_name(Algorithm a) noexcept {
     case Algorithm::ma_socket_aware: return "socket-ma";
     case Algorithm::dpml_two_level: return "dpml-2l";
     case Algorithm::pipelined: return "pipelined";
+    case Algorithm::slot: return "slot";
   }
   return "?";
 }
@@ -82,7 +86,8 @@ void broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
 void allgather(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, const CollOpts& opts = {});
 
-/// The switching rule itself (exposed for tests/benches).
+/// The allreduce/reduce switching rule (exposed for tests/benches):
+/// the slot arm when p·msg_bytes fits, then the §5.1 rule.
 Algorithm choose_reduction_algorithm(const RankCtx& ctx,
                                      std::size_t msg_bytes,
                                      const CollOpts& opts);
@@ -117,6 +122,16 @@ void dpml_two_level_allreduce(RankCtx& ctx, const void* send, void* recv,
 void dpml_two_level_reduce(RankCtx& ctx, const void* send, void* recv,
                            std::size_t count, Datatype d, ReduceOp op,
                            int root, const CollOpts& opts = {});
+
+/// Single-sync slot arm: one flag round, no barrier; raises unless
+/// rt::slot_fits(p, count * dtype_size(d)).  Buffers are free on return.
+void slot_allreduce(RankCtx& ctx, const void* send, void* recv,
+                    std::size_t count, Datatype d, ReduceOp op,
+                    const CollOpts& opts = {});
+void slot_reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
+                 Datatype d, ReduceOp op, int root, const CollOpts& opts = {});
+void slot_broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
+                    int root, const CollOpts& opts = {});
 
 void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
                          Datatype d, int root, const CollOpts& opts = {});

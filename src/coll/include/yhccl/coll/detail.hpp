@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 
 #include "yhccl/common/error.hpp"
 #include "yhccl/common/types.hpp"
@@ -121,6 +122,13 @@ inline void check_reduction_args(RankCtx& ctx, const void* send,
   YHCCL_REQUIRE(op_valid_for(op, d), "reduce op invalid for datatype");
   YHCCL_REQUIRE(send != nullptr || count == 0, "null send buffer");
   (void)ctx;
+}
+
+/// Validate a rooted collective's root before any shared state is touched.
+inline void check_root(const RankCtx& ctx, int root) {
+  YHCCL_REQUIRE(root >= 0 && root < ctx.nranks(),
+                "root " + std::to_string(root) + " outside [0, " +
+                    std::to_string(ctx.nranks()) + ")");
 }
 
 /// Scratch carve-out with bounds checking; all ranks compute identical

@@ -72,6 +72,9 @@ constexpr const char* plan_source_name(PlanSource s) noexcept {
 /// bytes — with bit 6 marking the above-threshold side when the caller's
 /// small_msg_threshold splits a bucket, so the §5.1 decision is constant
 /// within every bucket for *any* threshold, not just power-of-two ones.
+/// Bit 7 (kSlotSide) marks the slot band of allreduce/reduce/broadcast
+/// (p·s within rt::kSlotNodeBytes): only keys carrying it may ever serve
+/// Algorithm::slot, whatever a warmed or online plan says.
 struct PlanKey {
   CollKind kind = CollKind::allreduce;
   Datatype dtype = Datatype::f64;
@@ -93,11 +96,21 @@ struct PlanKey {
 /// are stored for (and only ever served to) default-option calls.
 std::uint64_t opts_signature(const CollOpts& opts) noexcept;
 
+inline constexpr std::uint8_t kAboveThreshold = 0x40;
+inline constexpr std::uint8_t kSlotSide = 0x80;
+
+/// Collectives the slot arm serves.
+constexpr bool slot_kind(CollKind k) noexcept {
+  return k == CollKind::allreduce || k == CollKind::reduce ||
+         k == CollKind::broadcast;
+}
+
 /// Size bucket + representative size of the switching-rule message size
-/// `msg_bytes` (total input for reduce_scatter, per-rank bytes otherwise).
-std::uint8_t bucket_of(CollKind kind, std::size_t msg_bytes,
+/// `msg_bytes` (total input for reduce_scatter, per-rank bytes otherwise)
+/// on a team of `ranks` ranks.
+std::uint8_t bucket_of(CollKind kind, std::size_t msg_bytes, int ranks,
                        const CollOpts& opts) noexcept;
-std::size_t bucket_rep_bytes(CollKind kind, std::uint8_t bucket,
+std::size_t bucket_rep_bytes(CollKind kind, std::uint8_t bucket, int ranks,
                              const CollOpts& opts) noexcept;
 
 /// Key of a concrete call (op is normalized to `sum` for the
@@ -128,11 +141,16 @@ struct Plan {
 
 // ---- analytic prior ---------------------------------------------------------
 
-/// Pure §5.1 switching rule over a topology (no RankCtx needed, so the
-/// prior is computable parent-side and in offline tools).
-Algorithm choose_reduction_algorithm(const rt::Topology& topo,
-                                     std::size_t msg_bytes,
-                                     const CollOpts& opts) noexcept;
+/// Pure switching rule over a topology (no RankCtx needed, so the prior is
+/// computable parent-side and in offline tools): an explicit
+/// opts.algorithm wins; then the slot arm for allreduce/reduce/broadcast
+/// when msg_bytes <= small_msg_threshold and p·msg_bytes fits
+/// rt::kSlotNodeBytes; then §5.1 for the reductions (DPML below the
+/// threshold, socket-aware MA above it, flat MA on one socket) and the
+/// pipeline for broadcast/allgather.
+Algorithm choose_algorithm(const rt::Topology& topo, CollKind kind,
+                           std::size_t msg_bytes,
+                           const CollOpts& opts) noexcept;
 
 /// §5.4 NT prediction: does the collective's work-data-set W (§4.3
 /// formulas) exceed the cache capacity available to p cores?  For
@@ -140,18 +158,24 @@ Algorithm choose_reduction_algorithm(const rt::Topology& topo,
 bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
               const copy::CacheConfig& cache, std::size_t slice_max) noexcept;
 
-/// The full analytic prior for a key: §5.1 algorithm + §5.4 NT advisory,
+/// The full analytic prior for a key: choose_algorithm + §5.4 NT advisory,
 /// caller's slice schedule untouched.  Deterministic, allocation-free.
 Plan prior_plan(const PlanKey& key, const CollOpts& opts,
                 const rt::Topology& topo,
                 const copy::CacheConfig& cache) noexcept;
 
+/// May `key` serve `p`?  Reduction arms only for reductions, the pipeline
+/// only for broadcast/allgather, the slot arm only on slot-side keys.  The
+/// loader skips and the engine refuses (as corruption) anything else.
+bool plan_servable(const PlanKey& key, const Plan& p) noexcept;
+
 // ---- candidate arms ---------------------------------------------------------
 
 /// Candidate schedules the online mode explores for a key: for reductions
-/// the three algorithm arms (socket-aware only on valid topologies) plus
-/// pinned-NT variants of the prior's choice; for broadcast/allgather
-/// alternative pipeline slice sizes plus pinned-NT variants.  Arm 0 is
+/// the algorithm arms (socket-aware only on valid topologies, slot only on
+/// slot-side keys) plus pinned-NT variants of the prior's choice; for
+/// broadcast/allgather alternative pipeline slice sizes plus pinned-NT
+/// variants (and the pipeline itself when the prior is slot).  Arm 0 is
 /// always the analytic prior.  Pure function of (key, opts, topo), so all
 /// ranks enumerate identical tables.
 int arm_count(const PlanKey& key, const CollOpts& opts,

@@ -6,6 +6,7 @@
 
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
+#include "yhccl/runtime/slot.hpp"
 
 namespace yhccl::coll::plan {
 
@@ -71,23 +72,38 @@ std::uint64_t opts_signature(const CollOpts& opts) noexcept {
 
 // ---- size buckets -----------------------------------------------------------
 
-std::uint8_t bucket_of(CollKind kind, std::size_t msg_bytes,
+namespace {
+
+bool slot_band(CollKind kind, std::size_t msg_bytes, int ranks,
+               const CollOpts& opts) noexcept {
+  return slot_kind(kind) && msg_bytes <= opts.small_msg_threshold &&
+         rt::slot_fits(ranks, msg_bytes);
+}
+
+}  // namespace
+
+std::uint8_t bucket_of(CollKind kind, std::size_t msg_bytes, int ranks,
                        const CollOpts& opts) noexcept {
   if (msg_bytes == 0) return 0;
   auto b = static_cast<std::uint8_t>(std::bit_width(msg_bytes - 1));
-  // The §5.1 threshold may land inside a power-of-two bucket; splitting on
-  // it keeps the static decision constant within every (bucket, side) class
-  // for arbitrary thresholds, so the prior is exact, never approximate.
-  if (is_reduction(kind) && msg_bytes > opts.small_msg_threshold) b |= 0x40;
+  // The §5.1 threshold and the slot capacity may land inside a power-of-two
+  // bucket; splitting on them keeps the static decision constant within
+  // every (bucket, side) class for arbitrary thresholds and rank counts,
+  // so the prior is exact, never approximate.
+  if (is_reduction(kind) && msg_bytes > opts.small_msg_threshold)
+    b |= kAboveThreshold;
+  if (slot_band(kind, msg_bytes, ranks, opts)) b |= kSlotSide;
   return b;
 }
 
-std::size_t bucket_rep_bytes(CollKind kind, std::uint8_t bucket,
+std::size_t bucket_rep_bytes(CollKind kind, std::uint8_t bucket, int ranks,
                              const CollOpts& opts) noexcept {
-  const std::size_t hi = std::size_t{1} << (bucket & 0x3f);
-  if (is_reduction(kind) && (bucket & 0x40) == 0)
-    return std::min(hi, opts.small_msg_threshold);
-  return hi;
+  std::size_t rep = std::size_t{1} << (bucket & 0x3f);
+  if (is_reduction(kind) && (bucket & kAboveThreshold) == 0)
+    rep = std::min(rep, opts.small_msg_threshold);
+  if ((bucket & kSlotSide) != 0)
+    rep = std::min({rep, opts.small_msg_threshold, rt::slot_capacity(ranks)});
+  return rep;
 }
 
 PlanKey make_key(CollKind kind, std::size_t msg_bytes, Datatype d,
@@ -97,7 +113,7 @@ PlanKey make_key(CollKind kind, std::size_t msg_bytes, Datatype d,
   k.kind = kind;
   k.dtype = d;
   k.op = is_reduction(kind) ? op : ReduceOp::sum;
-  k.bucket = bucket_of(kind, msg_bytes, opts);
+  k.bucket = bucket_of(kind, msg_bytes, topo.nranks(), opts);
   k.ranks = topo.nranks();
   k.sockets = topo.nsockets();
   return k;
@@ -184,10 +200,12 @@ void Plan::apply(CollOpts& o) const noexcept {
 
 // ---- analytic prior ---------------------------------------------------------
 
-Algorithm choose_reduction_algorithm(const rt::Topology& topo,
-                                     std::size_t msg_bytes,
-                                     const CollOpts& opts) noexcept {
+Algorithm choose_algorithm(const rt::Topology& topo, CollKind kind,
+                           std::size_t msg_bytes,
+                           const CollOpts& opts) noexcept {
   if (opts.algorithm != Algorithm::automatic) return opts.algorithm;
+  if (slot_band(kind, msg_bytes, topo.nranks(), opts)) return Algorithm::slot;
+  if (!is_reduction(kind)) return Algorithm::pipelined;
   if (msg_bytes <= opts.small_msg_threshold) return Algorithm::dpml_two_level;
   if (socket_topology(topo)) return Algorithm::ma_socket_aware;
   return Algorithm::ma_flat;
@@ -228,16 +246,31 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
                 const rt::Topology& topo,
                 const copy::CacheConfig& cache) noexcept {
   Plan p;
-  const std::size_t rep = bucket_rep_bytes(key.kind, key.bucket, opts);
-  p.algorithm = is_reduction(key.kind)
-                    ? choose_reduction_algorithm(topo, rep, opts)
-                    : Algorithm::pipelined;
+  const std::size_t rep =
+      bucket_rep_bytes(key.kind, key.bucket, topo.nranks(), opts);
+  p.algorithm = choose_algorithm(topo, key.kind, rep, opts);
   p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 — the legacy behavior
   p.nt_prior = prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(), cache,
                         opts.slice_max);
   p.source = PlanSource::prior;
   p.arm = 0;
   return p;
+}
+
+bool plan_servable(const PlanKey& key, const Plan& p) noexcept {
+  switch (p.algorithm) {
+    case Algorithm::slot:
+      return slot_kind(key.kind) && (key.bucket & kSlotSide) != 0;
+    case Algorithm::pipelined:
+      return !is_reduction(key.kind);
+    case Algorithm::ma_flat:
+    case Algorithm::ma_socket_aware:
+    case Algorithm::dpml_two_level:
+      return is_reduction(key.kind);
+    case Algorithm::automatic:
+      break;
+  }
+  return false;
 }
 
 // ---- candidate arms ---------------------------------------------------------
@@ -251,27 +284,33 @@ int build_arms(const PlanKey& key, const CollOpts& opts,
   int n = 0;
   out[n++] = prior;
   if (is_reduction(key.kind)) {
-    const Algorithm alts[] = {Algorithm::dpml_two_level, Algorithm::ma_flat,
-                              Algorithm::ma_socket_aware};
+    const Algorithm alts[] = {Algorithm::slot, Algorithm::dpml_two_level,
+                              Algorithm::ma_flat, Algorithm::ma_socket_aware};
     for (const Algorithm a : alts) {
       if (a == prior.algorithm) continue;
       if (a == Algorithm::ma_socket_aware && !socket_topology(topo)) continue;
       Plan p = prior;
       p.algorithm = a;
-      out[n++] = p;
+      if (plan_servable(key, p)) out[n++] = p;
     }
-  } else if (opts.slice_max == CollOpts{}.slice_max) {
+  } else {
+    Plan pipe = prior;
+    pipe.algorithm = Algorithm::pipelined;
+    if (prior.algorithm == Algorithm::slot) out[n++] = pipe;
     // Alternative pipeline depths around the paper's Imax = 256 KB; apply()
     // honors them only when the caller kept the default, so these arms are
     // meaningful exactly when they are enumerated.
-    for (const std::uint8_t lg : {std::uint8_t{16}, std::uint8_t{20}}) {
-      Plan p = prior;
-      p.slice_log2 = lg;
-      out[n++] = p;
-    }
+    if (opts.slice_max == CollOpts{}.slice_max)
+      for (const std::uint8_t lg : {std::uint8_t{16}, std::uint8_t{20}}) {
+        Plan p = pipe;
+        p.slice_log2 = lg;
+        out[n++] = p;
+      }
   }
+  // The slot arm always stores temporally: pinned-NT variants of it would
+  // be duplicates of the prior.
   if (opts.policy == copy::CopyPolicy::adaptive &&
-      n + 2 <= rt::kPlanMaxArms) {
+      prior.algorithm != Algorithm::slot && n + 2 <= rt::kPlanMaxArms) {
     Plan p = prior;
     p.nt = NtChoice::stream;
     out[n++] = p;

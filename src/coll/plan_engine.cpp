@@ -64,7 +64,8 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
   // contract (valid bit + clear reserved bits); a torn or corrupted word
   // must never steer the schedule — every rank would unpack garbage and
   // the team would diverge.  Raise a coherent corruption abort instead.
-  if (!rt::plan_word_sane(word))
+  if (!rt::plan_word_sane(word) ||
+      (word != 0 && !plan_servable(key_, Plan::unpack(word))))
     rt::fault_raise_corruption("plan cache: stored plan word failed "
                                "structural validation");
   // Degraded lane / quarantine: ignore the cached word and serve the
@@ -74,7 +75,8 @@ TunedCall::TunedCall(rt::RankCtx& ctx, CollKind kind, std::size_t msg_bytes,
     plan_ = Plan::unpack(word);
   else
     plan_ = prior_plan(key_, base_opts_, team.topo(), ctx.cache());
-  narms_ = arm_count(key_, base_opts_, team.topo());
+  // The arm table only matters to online exploration and refinement.
+  narms_ = online_ ? arm_count(key_, base_opts_, team.topo()) : 1;
 
   if (online_ && slot != nullptr && narms_ > 1 && !degraded_ &&
       !quarantined_) {

@@ -79,7 +79,7 @@ bool op_from_name(const std::string& s, ReduceOp* out) {
 bool alg_from_name(const std::string& s, Algorithm* out) {
   for (const auto a :
        {Algorithm::automatic, Algorithm::ma_flat, Algorithm::ma_socket_aware,
-        Algorithm::dpml_two_level, Algorithm::pipelined})
+        Algorithm::dpml_two_level, Algorithm::pipelined, Algorithm::slot})
     if (s == algorithm_name(a)) {
       *out = a;
       return true;
@@ -139,6 +139,10 @@ bool normalize_bench_arm(std::string name, Algorithm* out) {
     *out = Algorithm::pipelined;
     return true;
   }
+  if (name == "slot" || name == "yhccl-slot") {
+    *out = Algorithm::slot;
+    return true;
+  }
   return false;
 }
 
@@ -151,7 +155,8 @@ Json entry_to_json(std::uint64_t sig, const PlanKey& key, const Plan& p) {
   e.set("ranks", key.ranks);
   e.set("sockets", key.sockets);
   e.set("bucket", static_cast<int>(key.bucket));
-  e.set("bytes_hi", bucket_rep_bytes(key.kind, key.bucket, CollOpts{}));
+  e.set("bytes_hi",
+        bucket_rep_bytes(key.kind, key.bucket, key.ranks, CollOpts{}));
   e.set("algorithm", algorithm_name(p.algorithm));
   e.set("nt", nt_choice_name(p.nt));
   e.set("slice_max",
@@ -288,9 +293,11 @@ int load_plans(rt::Team& team, const Json& doc) {
     p.nt_prior = e["nt_prior"].as_bool();
     p.arm = static_cast<std::uint8_t>(e["arm"].as_int() & 0xf);
     p.source = source_from_name(e["source"].as_string());
-    if (is_reduction(key.kind) && p.algorithm == Algorithm::pipelined)
-      continue;
-    if (!is_reduction(key.kind)) p.algorithm = Algorithm::pipelined;
+    if (!is_reduction(key.kind) && p.algorithm != Algorithm::slot)
+      p.algorithm = Algorithm::pipelined;
+    // Never install a plan the key cannot serve (e.g. the slot arm above
+    // its capacity): the engine would refuse it as corruption.
+    if (!plan_servable(key, p)) continue;
     auto* slot = reg->acquire(key.hash(team.plan_signature(), dsig),
                               key.packed_fields());
     if (slot == nullptr) continue;  // probe window full: drop this entry
@@ -368,7 +375,6 @@ Json warm_from_bench(const Json& report) {
     Algorithm alg;
     if (!kind_from_name(s["collective"].as_string(), &kind)) continue;
     if (!normalize_bench_arm(s["algorithm"].as_string(), &alg)) continue;
-    if (is_reduction(kind) == (alg == Algorithm::pipelined)) continue;
     const int ranks = static_cast<int>(s["ranks"].as_int());
     const int sockets = static_cast<int>(s["sockets"].as_int());
     if (ranks < 1 || sockets < 1 || sockets > ranks) continue;
@@ -376,9 +382,12 @@ Json warm_from_bench(const Json& report) {
     if (median <= 0) continue;
     PlanKey key;
     key.kind = kind;
-    key.bucket = bucket_of(kind, s["bytes"].as_uint(), defaults);
+    key.bucket = bucket_of(kind, s["bytes"].as_uint(), ranks, defaults);
     key.ranks = ranks;
     key.sockets = sockets;
+    Plan cand;
+    cand.algorithm = alg;
+    if (!plan_servable(key, cand)) continue;
     auto& b = best[key.packed_fields()];
     if (b.median == 0 || median < b.median) b = {median, alg};
   }

@@ -2,12 +2,13 @@
 // cache (docs/tuning.md): the generic entry points resolve a cached plan
 // for (collective, size bucket, shape) and dispatch on its algorithm.
 // With the tuner at its default (prior mode) the served plans reproduce
-// the paper's static rules bit for bit — small reductions go to the
-// two-level DPML parallel reduction (cheap synchronization), everything
-// else to the socket-aware MA reduction (minimal data movement), falling
-// back to flat MA on single-socket teams — while warmed or online-refined
-// plans can override the choice per size class.  Callers forcing an
-// explicit opts.algorithm bypass the tuner entirely.
+// the static rule (plan::choose_algorithm) bit for bit — allreduce, reduce
+// and broadcast whose p·s fits rt::kSlotNodeBytes take the single-sync
+// slot arm, other small reductions the two-level DPML parallel reduction
+// (cheap synchronization), everything else the socket-aware MA reduction
+// (minimal data movement), falling back to flat MA on single-socket teams
+// — while warmed or online-refined plans can override the choice per size
+// class.  Callers forcing an explicit opts.algorithm bypass the tuner.
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
@@ -18,20 +19,24 @@ namespace yhccl::coll {
 Algorithm choose_reduction_algorithm(const RankCtx& ctx,
                                      std::size_t msg_bytes,
                                      const CollOpts& opts) {
-  return plan::choose_reduction_algorithm(ctx.team().topo(), msg_bytes, opts);
+  return plan::choose_algorithm(ctx.team().topo(), CollKind::allreduce,
+                                msg_bytes, opts);
 }
 
 namespace {
 
-/// Decision for one reduction call: the tuned plan when the tuner is
-/// active, the static §5.1 rule otherwise (tuner off / explicit arm).
-Algorithm reduction_algorithm(const plan::TunedCall& tc, RankCtx& ctx,
-                              std::size_t total, const CollOpts& opts) {
-  const Algorithm a = tc.active()
-                          ? tc.plan().algorithm
-                          : choose_reduction_algorithm(ctx, total, opts);
-  YHCCL_REQUIRE(a != Algorithm::pipelined,
+/// Decision for one call: the tuned plan when the tuner is active, the
+/// static rule otherwise (tuner off / explicit arm).
+Algorithm algorithm_for(const plan::TunedCall& tc, RankCtx& ctx, CollKind kind,
+                        std::size_t total, const CollOpts& opts) {
+  const Algorithm a =
+      tc.active() ? tc.plan().algorithm
+                  : plan::choose_algorithm(ctx.team().topo(), kind, total,
+                                           opts);
+  YHCCL_REQUIRE(kind == CollKind::broadcast || a != Algorithm::pipelined,
                 "the pipelined algorithm serves broadcast/allgather only");
+  YHCCL_REQUIRE(a != Algorithm::slot || plan::slot_kind(kind),
+                "the slot algorithm serves allreduce/reduce/broadcast only");
   return a;
 }
 
@@ -45,7 +50,8 @@ void reduce_scatter(RankCtx& ctx, const void* send, void* recv,
       count * dtype_size(d) * static_cast<std::size_t>(ctx.nranks());
   plan::TunedCall tc(ctx, CollKind::reduce_scatter, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
-  const Algorithm a = reduction_algorithm(tc, ctx, total, opts);
+  const Algorithm a =
+      algorithm_for(tc, ctx, CollKind::reduce_scatter, total, opts);
   metrics::CollSample ms(1 + static_cast<int>(CollKind::reduce_scatter),
                          total);
   ms.set_alg(1 + static_cast<int>(a));
@@ -68,10 +74,13 @@ void allreduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
   const std::size_t total = count * dtype_size(d);
   plan::TunedCall tc(ctx, CollKind::allreduce, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
-  const Algorithm a = reduction_algorithm(tc, ctx, total, opts);
+  const Algorithm a = algorithm_for(tc, ctx, CollKind::allreduce, total, opts);
   metrics::CollSample ms(1 + static_cast<int>(CollKind::allreduce), total);
   ms.set_alg(1 + static_cast<int>(a));
   switch (a) {
+    case Algorithm::slot:
+      slot_allreduce(ctx, send, recv, count, d, op, o);
+      break;
     case Algorithm::dpml_two_level:
       dpml_two_level_allreduce(ctx, send, recv, count, d, op, o);
       break;
@@ -87,13 +96,17 @@ void allreduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
 
 void reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
             Datatype d, ReduceOp op, int root, const CollOpts& opts) {
+  detail::check_root(ctx, root);
   const std::size_t total = count * dtype_size(d);
   plan::TunedCall tc(ctx, CollKind::reduce, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
-  const Algorithm a = reduction_algorithm(tc, ctx, total, opts);
+  const Algorithm a = algorithm_for(tc, ctx, CollKind::reduce, total, opts);
   metrics::CollSample ms(1 + static_cast<int>(CollKind::reduce), total);
   ms.set_alg(1 + static_cast<int>(a));
   switch (a) {
+    case Algorithm::slot:
+      slot_reduce(ctx, send, recv, count, d, op, root, o);
+      break;
     case Algorithm::dpml_two_level:
       dpml_two_level_reduce(ctx, send, recv, count, d, op, root, o);
       break;
@@ -107,22 +120,29 @@ void reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
   tc.finish(ctx);
 }
 
-// Broadcast and allgather have a single implementation (the §3.4 sliced
-// pipeline), so any explicit opts.algorithm — Algorithm::pipelined to name
-// it, or a reduction arm when one CollOpts drives a mixed trace replay —
-// simply bypasses the tuner and runs the pipeline with the caller's
-// schedule; Algorithm::automatic routes through the plan cache, which can
-// tune the pipeline slice size per size class.
+// Broadcast runs the slot arm or the §3.4 sliced pipeline; allgather has
+// the pipeline only.  Any other explicit opts.algorithm — a reduction arm
+// when one CollOpts drives a mixed trace replay — runs the pipeline with
+// the caller's schedule; Algorithm::automatic routes through the plan
+// cache, which can also tune the pipeline slice size per size class.
 
 void broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
                int root, const CollOpts& opts) {
-  plan::TunedCall tc(ctx, CollKind::broadcast, count * dtype_size(d), d,
-                     ReduceOp::sum, opts);
-  metrics::CollSample ms(1 + static_cast<int>(CollKind::broadcast),
-                         count * dtype_size(d));
-  ms.set_alg(1 + static_cast<int>(Algorithm::pipelined));
-  pipelined_broadcast(ctx, buf, count, d, root,
-                      tc.active() ? tc.opts() : opts);
+  detail::check_root(ctx, root);
+  const std::size_t total = count * dtype_size(d);
+  plan::TunedCall tc(ctx, CollKind::broadcast, total, d, ReduceOp::sum, opts);
+  const CollOpts& o = tc.active() ? tc.opts() : opts;
+  const Algorithm a =
+      algorithm_for(tc, ctx, CollKind::broadcast, total, opts) ==
+              Algorithm::slot
+          ? Algorithm::slot
+          : Algorithm::pipelined;
+  metrics::CollSample ms(1 + static_cast<int>(CollKind::broadcast), total);
+  ms.set_alg(1 + static_cast<int>(a));
+  if (a == Algorithm::slot)
+    slot_broadcast(ctx, buf, count, d, root, o);
+  else
+    pipelined_broadcast(ctx, buf, count, d, root, o);
   tc.finish(ctx);
 }
 

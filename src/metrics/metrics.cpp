@@ -86,6 +86,7 @@ const char* alg_slot_name(int id) noexcept {
     case 3: return "ma_socket_aware";
     case 4: return "dpml_two_level";
     case 5: return "pipelined";
+    case 6: return "slot";
     default: return "?";
   }
 }

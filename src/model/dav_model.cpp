@@ -597,6 +597,46 @@ OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g) {
   return sim.c;
 }
 
+OpCounts slot_allreduce_ops(std::size_t s, const OpGeometry& g) {
+  Sim sim;
+  if (s == 0) return sim.c;
+  if (g.p == 1) {
+    sim.copy(s);
+    return sim.c;
+  }
+  for (int r = 0; r < g.p; ++r) {
+    sim.copy(s);  // operand into my slot
+    ++sim.c.flag_posts;
+    sim.c.flag_waits += static_cast<u64>(g.p - 1);
+    sim.reduce_multi(g.p, s);  // my slot + p-1 peer slots -> recv
+  }
+  return sim.c;
+}
+
+OpCounts slot_reduce_ops(std::size_t s, const OpGeometry& g) {
+  Sim sim;
+  if (s == 0) return sim.c;
+  if (g.p == 1) {
+    sim.copy(s);
+    return sim.c;
+  }
+  for (int r = 1; r < g.p; ++r) sim.copy(s);  // non-roots fill their slots
+  sim.c.flag_posts += static_cast<u64>(g.p);
+  sim.c.flag_waits += static_cast<u64>(g.p - 1);  // the root's all-wait
+  sim.reduce_multi(g.p, s);  // root: send + p-1 slots -> recv
+  return sim.c;
+}
+
+OpCounts slot_broadcast_ops(std::size_t s, const OpGeometry& g) {
+  Sim sim;
+  if (s == 0 || g.p == 1) return sim.c;
+  sim.copy(s);  // root fills its slot
+  for (int r = 1; r < g.p; ++r) sim.copy(s);  // every other rank copies out
+  sim.c.flag_posts += static_cast<u64>(g.p);
+  sim.c.flag_waits += static_cast<u64>(g.p - 1);
+  return sim.c;
+}
+
 }  // namespace impl
 
 std::size_t nt_switch_point(std::size_t cache_capacity, int p,

@@ -118,6 +118,12 @@ OpCounts dpml_reduce_ops(std::size_t s, const OpGeometry& g);
 OpCounts pipelined_broadcast_ops(std::size_t s, const OpGeometry& g);
 OpCounts pipelined_allgather_ops(std::size_t s, const OpGeometry& g);
 OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g);
+// Single-sync slot arm (coll/slot.cpp; s within rt::slot_capacity(p), not
+// in place): writers copy s into their slot and post one flag, readers
+// wait for the writers' flags and fold or copy out — no barrier.
+OpCounts slot_allreduce_ops(std::size_t s, const OpGeometry& g);
+OpCounts slot_reduce_ops(std::size_t s, const OpGeometry& g);
+OpCounts slot_broadcast_ops(std::size_t s, const OpGeometry& g);
 
 }  // namespace impl
 

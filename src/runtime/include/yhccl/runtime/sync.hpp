@@ -92,6 +92,25 @@ inline void flag_publish(PaddedFlag& f, std::uint64_t v) noexcept {
             YHCCL_MC_ORDER(step_publish_release, std::memory_order_release));
 }
 
+/// A collective-level flag publish: flag_publish plus the fault point,
+/// sync counter, metrics note and trace instant every such op carries.
+inline void flag_post(PaddedFlag& f, std::uint64_t v) {
+  fault_point("flag");
+  sync_count_flag_post();
+  metrics::note_flag_post();
+  flag_publish(f, v);
+  trace::instant(trace::Phase::flag_post, v);
+}
+
+/// The consumer half of flag_post: wait until `f >= v`, instrumented alike.
+inline void flag_wait(const PaddedFlag& f, std::uint64_t v) {
+  fault_point("flag");
+  sync_count_flag_wait();
+  metrics::note_flag_wait();
+  trace::Span sp(trace::Phase::flag_wait, v);
+  spin_wait_ge(f.v, v);
+}
+
 /// Sense-reversing central barrier.  Construct in shared memory; each
 /// participant keeps its own sense token (see RankCtx).
 struct BarrierState {

@@ -8,10 +8,11 @@
 //
 // Counted at the call sites that express algorithmic intent:
 //   barriers    — barrier_arrive / dissemination_arrive entries
-//   flag_posts  — RankCtx::step_publish
-//   flag_waits  — RankCtx::step_wait
-// spin_wait_ge/eq are deliberately *not* counted: step_wait would double,
-// and FIFO/rendezvous internals retry a data-dependent number of times.
+//   flag_posts  — flag_post (RankCtx::step_publish, the slot protocol)
+//   flag_waits  — flag_wait (RankCtx::step_wait, the slot protocol)
+// spin_wait_ge/eq are deliberately *not* counted: flag_wait would double,
+// FIFO/rendezvous internals retry a data-dependent number of times, and
+// the slot reuse guard is skipped or not depending on the previous call.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +21,8 @@ namespace yhccl::rt {
 
 struct SyncCounts {
   std::uint64_t barriers = 0;    ///< barrier arrivals (central + dissemination)
-  std::uint64_t flag_posts = 0;  ///< pipeline progress-flag publishes
-  std::uint64_t flag_waits = 0;  ///< pipeline progress-flag waits
+  std::uint64_t flag_posts = 0;  ///< progress/slot flag publishes
+  std::uint64_t flag_waits = 0;  ///< progress/slot flag waits
 
   std::uint64_t total() const noexcept {
     return barriers + flag_posts + flag_waits;

@@ -2,6 +2,7 @@
 //
 // A Team owns one shared mapping laid out as
 //   [TeamShared control block][pt2pt channels][shared heap][coll scratch]
+//   [slot region] (+ the optional checker/trace/plan/metrics sections)
 // and executes SPMD functions over `nranks` ranks.  Two backends exist:
 //   ThreadTeam  — ranks are threads (deterministic, XPMEM-faithful)
 //   ProcessTeam — ranks are fork()ed processes (the paper's true setting)
@@ -31,6 +32,7 @@
 #include "yhccl/runtime/remote_access.hpp"
 #include "yhccl/runtime/resilience.hpp"
 #include "yhccl/runtime/shm_region.hpp"
+#include "yhccl/runtime/slot.hpp"
 #include "yhccl/runtime/sync.hpp"
 #include "yhccl/runtime/topology.hpp"
 #include "yhccl/trace/trace.hpp"
@@ -97,7 +99,7 @@ struct SectionHeader {
 };
 
 inline constexpr std::uint64_t kSectionCanary = 0x5948434353454354ull;
-inline constexpr int kMaxSections = 9;
+inline constexpr int kMaxSections = 10;
 
 /// Epoch-tagged header checksum (splitmix64 chain over the fields).
 constexpr std::uint64_t section_sum(const SectionHeader& h) noexcept {
@@ -113,7 +115,7 @@ struct TeamShared {
   BarrierState node_barrier;
   BarrierState socket_barrier[kMaxSockets];
   PaddedFlag step[kMaxRanks];  ///< per-rank pipeline progress counters
-  PaddedFlag flag[kMaxRanks];  ///< generic per-rank flags
+  PaddedFlag slot_flag[kMaxRanks];  ///< per-rank slot epochs (slot.hpp)
   RemoteWindow registry[kMaxRanks][kRegistrySlots];
   copy::Dav dav_out[kMaxRanks]{};  ///< per-rank DAV of the last run()
   double time_out[kMaxRanks]{};    ///< per-rank wall time of the last run()
@@ -123,6 +125,8 @@ struct TeamShared {
   struct alignas(kCacheline) Persist {
     std::uint64_t coll_seq = 0;
     std::uint64_t tune_seq = 0;  ///< tuner resolve counter (docs/tuning.md)
+    std::uint64_t slot_epoch = 0;  ///< slot calls so far (slot.hpp)
+    std::uint64_t slot_seen = 0;   ///< every slot flag seen at >= this
     std::uint32_t node_sense = 0;
     std::uint32_t sock_sense = 0;
   };
@@ -291,6 +295,9 @@ class Team {
   // -- internals used by RankCtx and the collectives ------------------------
   TeamShared& shared() noexcept { return *shared_; }
   std::byte* scratch_base() noexcept { return region_.data() + off_scratch_; }
+  /// The slot arm's double-buffered region: 2 · kSlotNodeBytes, its own
+  /// section (ScratchCarver never hands it out), shadowed by the checker.
+  std::byte* slot_base() noexcept { return region_.data() + off_slots_; }
   std::size_t scratch_bytes() const noexcept { return cfg_.scratch_bytes; }
   FifoChannel& channel(int src, int dst) noexcept;
   std::byte* channel_data(int src, int dst) noexcept;
@@ -320,6 +327,7 @@ class Team {
   std::size_t off_chan_data_ = 0;
   std::size_t off_heap_ = 0;
   std::size_t off_scratch_ = 0;
+  std::size_t off_slots_ = 0;
   std::size_t off_hb_ = 0;
   std::size_t off_trace_ = 0;
   std::size_t off_plans_ = 0;
@@ -426,8 +434,17 @@ class RankCtx {
     return (seq << 32) + step;
   }
 
-  mc::atomic<std::uint64_t>& flag(int rank) noexcept {
-    return team_->shared().flag[rank].v;
+  // ---- slot protocol (slot.hpp) -------------------------------------------
+  /// Epoch of the next slot call: identical on every rank, like next_seq().
+  std::uint64_t next_slot_epoch() { return ++persist_->slot_epoch; }
+  SlotSync slot_sync() noexcept {
+    return SlotSync{team_->shared().slot_flag, nranks_, rank_,
+                    &persist_->slot_seen};
+  }
+  /// Rank `rank`'s slot in the half used by epoch `e`.
+  std::byte* slot(std::uint64_t e, int rank) noexcept {
+    return team_->slot_base() + (e & 1) * kSlotNodeBytes +
+           static_cast<std::size_t>(rank) * slot_stride_;
   }
 
   // ---- remote buffer registry (XPMEM/CMA) ---------------------------------
@@ -463,6 +480,7 @@ class RankCtx {
   Team* team_;
   int rank_;
   int nranks_;
+  std::size_t slot_stride_;  ///< slot_capacity(nranks_)
   TeamShared::Persist* persist_;
 };
 

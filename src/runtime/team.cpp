@@ -105,10 +105,13 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
                  cfg_.nranks, analysis::HbChecker::kMaxHbRanks);
     with_hb = false;
   }
-  // The checker shadows the two regions collective data flows through:
-  // the scratch arena (slice buffers) and the persistent shared heap.
+  // The checker shadows the regions collective data flows through: the
+  // scratch arena (slice buffers), the slot region and the persistent
+  // shared heap.
+  const std::size_t slot_bytes = 2 * kSlotNodeBytes;
   const std::size_t hb_cells =
       analysis::HbChecker::ncells_for(cfg_.scratch_bytes) +
+      analysis::HbChecker::ncells_for(slot_bytes) +
       analysis::HbChecker::ncells_for(cfg_.shared_heap_bytes);
   const std::size_t hb_bytes =
       with_hb ? analysis::HbChecker::required_bytes(hb_cells) : 0;
@@ -153,6 +156,8 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
   off = section(off, cfg_.shared_heap_bytes);
   off_scratch_ = off;
   off = section(off, cfg_.scratch_bytes);
+  off_slots_ = off;
+  off = section(off, slot_bytes);
   off_hb_ = off;
   off = section(off, hb_bytes);
   off_trace_ = off;
@@ -176,6 +181,7 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
                                       cfg_.nranks, hb_cells);
     hb_->add_region(region_.data() + off_scratch_, cfg_.scratch_bytes,
                     "coll-scratch");
+    hb_->add_region(region_.data() + off_slots_, slot_bytes, "coll-slots");
     hb_->add_region(region_.data() + off_heap_, cfg_.shared_heap_bytes,
                     "shared-heap");
   }
@@ -476,7 +482,7 @@ FaultInfo Team::recover() {
                      : 0);
   for (int r = 0; r < kMaxRanks; ++r) {
     shared_->step[r].v.store(0, std::memory_order_relaxed);
-    shared_->flag[r].v.store(0, std::memory_order_relaxed);
+    shared_->slot_flag[r].v.store(0, std::memory_order_relaxed);
     shared_->persist[r] = TeamShared::Persist{};
     shared_->dav_out[r] = copy::Dav{};
     shared_->time_out[r] = 0;
@@ -537,8 +543,9 @@ FaultInfo Team::recover() {
 void Team::stamp_sections() {
   const std::uint64_t epoch = team_epoch();
   const std::size_t ends[kMaxSections] = {
-      off_channels_, off_chan_data_, off_heap_,    off_scratch_, off_hb_,
-      off_trace_,    off_plans_,     off_metrics_, region_.size()};
+      off_channels_, off_chan_data_, off_heap_,    off_scratch_,
+      off_slots_,    off_hb_,        off_trace_,   off_plans_,
+      off_metrics_,  region_.size()};
   std::size_t start = 0;
   shared_->nsections = kMaxSections;
   for (int i = 0; i < kMaxSections; ++i) {
@@ -854,6 +861,7 @@ RankCtx::RankCtx(Team& team, int rank)
     : team_(&team),
       rank_(rank),
       nranks_(team.nranks()),
+      slot_stride_(slot_capacity(nranks_)),
       persist_(&team.shared().persist[rank]) {
   YHCCL_REQUIRE(rank >= 0 && rank < nranks_, "rank out of range");
 }
@@ -878,19 +886,11 @@ std::uint64_t RankCtx::next_seq() {
 }
 
 void RankCtx::step_publish(std::uint64_t v) {
-  fault_point("flag");
-  sync_count_flag_post();
-  metrics::note_flag_post();
-  flag_publish(team_->shared().step[rank_], v);
-  trace::instant(trace::Phase::flag_post, v);
+  flag_post(team_->shared().step[rank_], v);
 }
 
 void RankCtx::step_wait(int peer, std::uint64_t v) {
-  fault_point("flag");
-  sync_count_flag_wait();
-  metrics::note_flag_wait();
-  trace::Span sp(trace::Phase::flag_wait, v);
-  spin_wait_ge(team_->shared().step[peer].v, v);
+  flag_wait(team_->shared().step[peer], v);
 }
 
 void RankCtx::publish_buffer(int slot, const void* p, std::size_t bytes) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "yhccl/coll/coll.hpp"
+#include "slot_matrix.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -293,9 +294,11 @@ TEST(CollEdge, SwitchingRespectsThresholdAndTopology) {
   auto& team2 = cached_team(4, 2);
   team2.run([&](RankCtx& ctx) {
     CollOpts o;
-    if (choose_reduction_algorithm(ctx, 1024, o) !=
+    if (choose_reduction_algorithm(ctx, 1024, o) != Algorithm::slot)
+      throw Error("p*s within the slot capacity should pick the slot arm");
+    if (choose_reduction_algorithm(ctx, rt::slot_capacity(4) + 1, o) !=
         Algorithm::dpml_two_level)
-      throw Error("small message should pick dpml_two_level");
+      throw Error("small message above the slot band should pick DPML");
     if (choose_reduction_algorithm(ctx, 10u << 20, o) !=
         Algorithm::ma_socket_aware)
       throw Error("large message on 2 sockets should pick socket-MA");
@@ -328,6 +331,74 @@ TEST(CollEdge, DpmlFlatModeMatchesReference) {
   for (int r = 0; r < 6; ++r)
     EXPECT_TRUE(
         check_reduced(recv[r].data(), n, Datatype::f32, 6, ReduceOp::sum));
+}
+
+// ---- the slot band (p·s within rt::kSlotNodeBytes) -------------------------
+
+TEST(SlotBand, MatrixOnThreadTeams) {
+  for (auto [p, m] : {std::pair{2, 1}, {3, 1}, {4, 2}, {3, 2}, {1, 1}})
+    for (const bool misaligned : {false, true})
+      EXPECT_EQ(test::run_slot_matrix(cached_team(p, m), {false, misaligned}),
+                "")
+          << "p=" << p << " m=" << m << " misaligned=" << misaligned;
+}
+
+TEST(SlotBand, HbCheckedMatrixIsClean) {
+  rt::TeamConfig cfg;
+  cfg.nranks = 3;
+  cfg.scratch_bytes = 8u << 20;
+  cfg.shared_heap_bytes = 1u << 20;
+  cfg.hb_check = rt::HbMode::on;
+  rt::ThreadTeam team(cfg);
+  EXPECT_EQ(test::run_slot_matrix(team, {}), "");
+  EXPECT_EQ(team.hb_races(), 0u) << team.hb_report();
+}
+
+TEST(SlotBand, ExplicitArmRefusesWhatDoesNotFit) {
+  auto& team = cached_team(4, 2);
+  const std::size_t over = rt::slot_capacity(4) / 8 + 1;
+  std::vector<double> a(over), b(over);
+  EXPECT_THROW(team.run([&](RankCtx& ctx) {
+                 slot_allreduce(ctx, a.data(), b.data(), over, Datatype::f64,
+                                ReduceOp::sum);
+               }),
+               Error);
+  CollOpts slot;
+  slot.algorithm = Algorithm::slot;
+  EXPECT_THROW(team.run([&](RankCtx& ctx) {
+                 reduce_scatter(ctx, a.data(), b.data(), 1, Datatype::f64,
+                                ReduceOp::sum, slot);
+               }),
+               Error);
+}
+
+TEST(CollEdge, OutOfRangeRootRaisesBeforeTouchingSharedState) {
+  auto& team = cached_team(4, 2);
+  std::vector<std::vector<double>> a(4, std::vector<double>(8, 1.0)),
+      b(4, std::vector<double>(8));
+  for (const int root : {7, 4, -1}) {
+    EXPECT_THROW(team.run([&](RankCtx& ctx) {
+                   reduce(ctx, a[ctx.rank()].data(), b[ctx.rank()].data(), 8,
+                          Datatype::f64, ReduceOp::sum, root);
+                 }),
+                 Error)
+        << "reduce root " << root;
+    EXPECT_THROW(team.run([&](RankCtx& ctx) {
+                   broadcast(ctx, a[ctx.rank()].data(), 8, Datatype::f64,
+                             root);
+                 }),
+                 Error)
+        << "broadcast root " << root;
+  }
+  // No rank got as far as a protocol step: the team runs on, unrecovered.
+  team.run([&](RankCtx& ctx) {
+    allreduce(ctx, a[ctx.rank()].data(), b[ctx.rank()].data(), 8,
+              Datatype::f64, ReduceOp::sum);
+    reduce(ctx, a[ctx.rank()].data(), b[ctx.rank()].data(), 8, Datatype::f64,
+           ReduceOp::sum, 3);
+  });
+  for (int r = 0; r < 4; ++r)
+    for (double x : b[r]) EXPECT_EQ(x, 4.0) << "rank " << r;
 }
 
 }  // namespace

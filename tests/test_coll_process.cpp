@@ -12,6 +12,7 @@
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/runtime/process_team.hpp"
+#include "slot_matrix.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -181,6 +182,37 @@ TEST(ProcessColl, CmaTransportIfKernelAllows) {
     ctx.barrier();
   });
   EXPECT_EQ(out[n - 1], 0x77);
+}
+
+TEST(ProcessColl, SlotBandMatrixAcrossProcesses) {
+  for (auto [p, m] : {std::pair{2, 1}, {3, 1}, {4, 2}})
+    for (const bool misaligned : {false, true})
+      EXPECT_EQ(test::run_slot_matrix(process_team(p, m), {false, misaligned}),
+                "")
+          << "p=" << p << " m=" << m << " misaligned=" << misaligned;
+}
+
+TEST(ProcessColl, OutOfRangeRootRaises) {
+  auto& team = process_team(4, 2);
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+                 double x = 1, y = 0;
+                 coll::reduce(ctx, &x, &y, 1, Datatype::f64, ReduceOp::sum,
+                              /*root=*/7);
+               }),
+               Error);
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+                 double x = 1;
+                 coll::broadcast(ctx, &x, 1, Datatype::f64, /*root=*/-1);
+               }),
+               Error);
+  // The misuse touched no shared state: the team runs on, unrecovered.
+  auto* out = reinterpret_cast<double*>(team.shared_alloc(4 * sizeof(double)));
+  team.run([&](rt::RankCtx& ctx) {
+    double x = 1, y = 0;
+    coll::allreduce(ctx, &x, &y, 1, Datatype::f64, ReduceOp::sum);
+    out[ctx.rank()] = y;
+  });
+  for (int r = 0; r < 4; ++r) EXPECT_EQ(out[r], 4.0) << "rank " << r;
 }
 
 }  // namespace

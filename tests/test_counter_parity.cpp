@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "yhccl/coll/coll.hpp"
@@ -90,9 +91,14 @@ std::vector<coll::CollProfiler> profile_all(rt::Team& team, int p,
 }
 
 TEST(CounterParityBackends, ProfilerRecordsBitIdenticalThreadVsFork) {
-  for (auto [p, m] : {std::pair{2, 1}, {4, 2}, {3, 2}}) {
-    const std::size_t count = 3003;  // ragged: not a slice multiple
-
+  // 3003 is ragged (not a slice multiple) and takes the barrier arms; 500
+  // puts allreduce, reduce and broadcast in the slot band at every p here.
+  for (auto [p, m, count] : {std::tuple{2, 1, std::size_t{3003}},
+                             {4, 2, std::size_t{3003}},
+                             {3, 2, std::size_t{3003}},
+                             {2, 1, std::size_t{500}},
+                             {4, 2, std::size_t{500}},
+                             {3, 2, std::size_t{500}}}) {
     auto& tteam = cached_team(p, m, kScratch);
     const auto thread_profiles = profile_all(tteam, p, count);
 
@@ -128,8 +134,6 @@ TEST(CounterParityBackends, ProfilerRecordsBitIdenticalThreadVsFork) {
 
 TEST(CounterParityBackends, ProfiledRunsAreHbCleanOnBothBackends) {
   const int p = 4, m = 2;
-  const std::size_t count = 2048;
-
   rt::TeamConfig cfg;
   cfg.nranks = p;
   cfg.nsockets = m;
@@ -137,13 +141,16 @@ TEST(CounterParityBackends, ProfiledRunsAreHbCleanOnBothBackends) {
   cfg.shared_heap_bytes = 8u << 20;
   cfg.hb_check = rt::HbMode::on;
 
-  rt::ThreadTeam tteam(cfg);
-  profile_all(tteam, p, count);
-  EXPECT_EQ(tteam.hb_races(), 0u) << tteam.hb_report();
+  // 2048 runs the barrier arms, 500 the slot band.
+  for (const std::size_t count : {std::size_t{2048}, std::size_t{500}}) {
+    rt::ThreadTeam tteam(cfg);
+    profile_all(tteam, p, count);
+    EXPECT_EQ(tteam.hb_races(), 0u) << tteam.hb_report();
 
-  rt::ProcessTeam pteam(cfg);
-  profile_all(pteam, p, count);
-  EXPECT_EQ(pteam.hb_races(), 0u) << pteam.hb_report();
+    rt::ProcessTeam pteam(cfg);
+    profile_all(pteam, p, count);
+    EXPECT_EQ(pteam.hb_races(), 0u) << pteam.hb_report();
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 // within their constant bookkeeping terms.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "yhccl/baselines/baselines.hpp"
@@ -360,6 +361,7 @@ struct ParityArm {
   OpCounts (*model)(std::size_t, const OpGeometry&);
   void (*run)(rt::RankCtx&, std::size_t count, const CollOpts&);
   bool thread_only = false;  ///< xpmem needs a shared address space
+  bool slot_band = false;    ///< runs only counts within slot_capacity(p)
 };
 
 const ParityArm kParityArms[] = {
@@ -461,6 +463,32 @@ const ParityArm kParityArms[] = {
                        ReduceOp::sum);
      },
      /*thread_only=*/true},
+    {"slot_allreduce", false, md::impl::slot_allreduce_ops,
+     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
+       std::vector<double> send(count), recv(count);
+       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
+                   ReduceOp::sum);
+       slot_allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
+                      ReduceOp::sum, o);
+     },
+     false, /*slot_band=*/true},
+    {"slot_reduce", false, md::impl::slot_reduce_ops,
+     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
+       std::vector<double> send(count), recv(count);
+       fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
+                   ReduceOp::sum);
+       slot_reduce(ctx, send.data(), recv.data(), count, Datatype::f64,
+                   ReduceOp::sum, /*root=*/ctx.nranks() - 1, o);
+     },
+     false, /*slot_band=*/true},
+    {"slot_broadcast", false, md::impl::slot_broadcast_ops,
+     [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
+       std::vector<double> buf(count);
+       fill_buffer(buf.data(), count, Datatype::f64, ctx.rank(),
+                   ReduceOp::sum);
+       slot_broadcast(ctx, buf.data(), count, Datatype::f64, /*root=*/1, o);
+     },
+     false, /*slot_band=*/true},
 };
 
 /// Shapes: flat even/odd, even p over even sockets, and the ragged p=3
@@ -483,9 +511,14 @@ void run_parity_matrix(rt::Team& team, int p, int m,
   g.dpml_chunk = o.dpml_chunk;
   g.scratch_bytes = kParityScratch;
   g.dpml_flat = o.dpml_flat;
+  // The slot band: at the capacity, ragged, tiny and a single element.
+  const std::size_t slot_counts[] = {rt::slot_capacity(p) / 8, 333, 17, 1};
   for (const auto& arm : kParityArms) {
     if (arm.thread_only && !is_thread_team) continue;
-    for (std::size_t count : kParityCounts) {
+    const std::span<const std::size_t> counts =
+        arm.slot_band ? std::span<const std::size_t>(slot_counts)
+                      : std::span<const std::size_t>(kParityCounts);
+    for (std::size_t count : counts) {
       team.run([&](rt::RankCtx& ctx) { arm.run(ctx, count, o); });
       const std::size_t s =
           count * 8 * (arm.scatter_shaped ? static_cast<std::size_t>(p) : 1);

@@ -19,6 +19,7 @@
 #include "yhccl/runtime/process_team.hpp"
 #include "yhccl/runtime/sync_timeout.hpp"
 #include "yhccl/runtime/thread_team.hpp"
+#include "slot_matrix.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -208,6 +209,25 @@ TEST_P(FaultRecovery, DieMidPipelineStage) {
                                          /*root=*/0, opts);
                    });
   expect_membership_after_recovery(*team, GetParam(), 1);
+  run_matrix(*team);
+}
+
+// Death between a slot allreduce's flag post and its waits, two slot calls
+// in: the survivors are left mid-epoch with one half half-read.  recover()
+// resets the slot flags and epochs with the rest of the sync state, and the
+// slot band (both halves, every kind) must then run clean.
+TEST_P(FaultRecovery, DieAtFlagInsideSlotAllreduce) {
+  auto team = make_team(GetParam(), 4, 2);
+  // Per rank and slot allreduce at p = 4: one post and three waits, each a
+  // `flag` fault point; iter=9 is the first wait of the third call.
+  kill_and_recover(*team, "die@flag:rank=1:iter=9", 1, [](rt::RankCtx& ctx) {
+    for (int i = 0; i < 5; ++i) {
+      double x = 1.0 + ctx.rank(), y = 0;
+      slot_allreduce(ctx, &x, &y, 1, Datatype::f64, ReduceOp::sum);
+    }
+  });
+  expect_membership_after_recovery(*team, GetParam(), 1);
+  EXPECT_EQ(test::run_slot_matrix(*team, {}), "");
   run_matrix(*team);
 }
 

@@ -43,9 +43,9 @@ void missing_release_body(rt::RankCtx& ctx) {
   if (ctx.rank() == 0) {
     std::memset(local, 7, sizeof(local));
     copy::t_copy(slice, local, sizeof(local));
-    ctx.flag(0).store(1, std::memory_order_relaxed);  // BUG: no release
+    ctx.team().shared().step[0].v.store(1, std::memory_order_relaxed);  // BUG: no release
   } else if (ctx.rank() == 1) {
-    rt::spin_wait_ge(ctx.flag(0), 1);  // acquires nothing: flag never released
+    rt::spin_wait_ge(ctx.team().shared().step[0].v, 1);  // acquires nothing: flag never released
     copy::t_copy(local, slice, sizeof(local));
   }
 }
@@ -265,9 +265,9 @@ TEST(HbChecker, RemoteBufferSeqlockNeverTears) {
     if (ctx.rank() == 0) {
       for (int i = 1; i <= iters; ++i)
         ctx.publish_buffer(0, base + i, static_cast<std::size_t>(i));
-      ctx.flag(0).store(1, std::memory_order_release);
+      ctx.team().shared().step[0].v.store(1, std::memory_order_release);
     } else {
-      while (ctx.flag(0).load(std::memory_order_acquire) == 0) {
+      while (ctx.team().shared().step[0].v.load(std::memory_order_acquire) == 0) {
         const rt::RemoteBuf rb = ctx.remote_buffer(0, 0);
         if (rb.ptr == nullptr) continue;  // not yet published
         const auto off = static_cast<const std::byte*>(rb.ptr) - base;

@@ -9,6 +9,8 @@
 
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/runtime/process_team.hpp"
+#include "slot_matrix.hpp"
 #include "test_util.hpp"
 
 using namespace yhccl;
@@ -106,6 +108,22 @@ TEST(InPlace, GenericEntryPointAcceptsAliasedBuffers) {
   for (int r = 0; r < p; ++r)
     EXPECT_TRUE(check_reduced(buf[r].data(), count, Datatype::f64, p,
                               ReduceOp::sum));
+}
+
+// The slot band in place: allreduce reads its own operand back from its
+// slot, an in-place reduce root other than rank 0 stages its operand there.
+TEST(InPlace, SlotBandMatrixOnBothBackends) {
+  for (auto [p, m] : {std::pair{2, 1}, {3, 1}, {4, 2}})
+    for (const bool misaligned : {false, true})
+      EXPECT_EQ(test::run_slot_matrix(cached_team(p, m), {true, misaligned}),
+                "")
+          << "threads p=" << p << " misaligned=" << misaligned;
+  rt::TeamConfig cfg;
+  cfg.nranks = 3;
+  cfg.scratch_bytes = 8u << 20;
+  cfg.shared_heap_bytes = 1u << 20;
+  rt::ProcessTeam team(cfg);
+  EXPECT_EQ(test::run_slot_matrix(team, {true, true}), "");
 }
 
 }  // namespace

@@ -248,6 +248,28 @@ TEST(McMutationTable, CoversEveryWeakPoint) {
   }
 }
 
+// Dropping the slot protocol's reuse guard lets a writer overwrite a half
+// a peer is still reading: reported as a data race on the slot operand,
+// with a schedule that replays to the same race.
+TEST(McSlot, DroppedReuseGuardIsARaceWithReplayableSchedule) {
+  const mc::Mutation m{mc::WeakPoint::slot_reuse_guard, "slot", 2};
+  mc::Options opt = budget();
+  opt.stop_at_first = true;
+  const mc::Result found = mc::check_mutation(m, opt);
+  ASSERT_TRUE(found.caught());
+  const mc::Violation& v = found.violations.front();
+  EXPECT_EQ(v.kind, "race") << v.message;
+  EXPECT_NE(v.message.find("slot-operand"), std::string::npos) << v.message;
+  opt.mutation = m.point;
+  const mc::Result rep =
+      mc::replay(mc::protocol_spec(m.protocol, m.nthreads), v.schedule, opt);
+  ASSERT_TRUE(rep.caught());
+  EXPECT_EQ(rep.violations.front().kind, "race");
+  // The same schedule is clean with the guard in place.
+  opt.mutation = mc::WeakPoint::none;
+  EXPECT_TRUE(mc::check_protocol("slot", 2, opt).clean());
+}
+
 // The counterexample replay with the flight recorder attached must not
 // perturb the schedule (same violation) and must emit the PR-5 flight JSON.
 TEST(McFlight, CounterexampleReplayYieldsFlightDump) {

@@ -220,10 +220,14 @@ TEST(PhaseTrace, FlightDumpOnInjectedDeathAtBarrier) {
       team->set_fault_plan(rt::FaultPlan::parse("die@barrier:rank=2:iter=0"));
       bool aborted = false;
       try {
+        // DPML explicitly: the automatic path at this size is the
+        // barrier-free slot arm.
+        coll::CollOpts dpml;
+        dpml.algorithm = coll::Algorithm::dpml_two_level;
         team->run([&](rt::RankCtx& ctx) {
           std::vector<double> s(1024, 1), r(1024);
           coll::allreduce(ctx, s.data(), r.data(), 1024, Datatype::f64,
-                          ReduceOp::sum);
+                          ReduceOp::sum, dpml);
         });
       } catch (const Error& e) {
         aborted = true;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -96,39 +97,83 @@ void run_logged_allreduce(rt::Team& team, int calls, std::size_t count,
 // ---- the prior reproduces the static rules ----------------------------------
 
 TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
-  const rt::Topology topo(8, 2);
   const copy::CacheConfig cache = copy::CacheConfig::node_a();
-  for (const std::size_t threshold :
-       {std::size_t{256} << 10, std::size_t{300000}, std::size_t{1} << 20}) {
-    CollOpts opts;
-    opts.small_msg_threshold = threshold;
-    for (const auto kind :
-         {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter}) {
-      for (std::size_t base : {std::size_t{1}, std::size_t{64},
-                               std::size_t{4} << 10, std::size_t{256} << 10,
-                               threshold, std::size_t{1} << 20,
-                               std::size_t{16} << 20}) {
-        for (std::size_t bytes :
-             {base, base + 1, base > 1 ? base - 1 : base}) {
-          const auto key = plan::make_key(kind, bytes, Datatype::f64,
-                                          ReduceOp::sum, topo, opts);
-          const auto p = plan::prior_plan(key, opts, topo, cache);
-          EXPECT_EQ(p.algorithm,
-                    plan::choose_reduction_algorithm(topo, bytes, opts))
-              << coll::coll_kind_name(kind) << " bytes=" << bytes
-              << " threshold=" << threshold;
+  // p = 3 and 6 put the slot capacity (32 KB / p, cacheline-rounded)
+  // inside a power-of-two bucket; thresholds below the capacity cut the
+  // slot band short.
+  for (const auto& topo :
+       {rt::Topology(8, 2), rt::Topology(3, 1), rt::Topology(6, 2),
+        rt::Topology(2, 1)}) {
+    const std::size_t cap = rt::slot_capacity(topo.nranks());
+    for (const std::size_t threshold :
+         {std::size_t{256} << 10, std::size_t{300000}, std::size_t{1} << 20,
+          std::size_t{1000}, std::size_t{0}}) {
+      CollOpts opts;
+      opts.small_msg_threshold = threshold;
+      for (const auto kind :
+           {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter,
+            CollKind::broadcast, CollKind::allgather}) {
+        for (std::size_t base :
+             {std::size_t{1}, std::size_t{64}, std::size_t{4} << 10, cap,
+              std::size_t{256} << 10, threshold, std::size_t{1} << 20,
+              std::size_t{16} << 20}) {
+          for (std::size_t bytes :
+               {base, base + 1, base > 1 ? base - 1 : base}) {
+            if (bytes == 0) continue;
+            const auto key = plan::make_key(kind, bytes, Datatype::f64,
+                                            ReduceOp::sum, topo, opts);
+            const auto p = plan::prior_plan(key, opts, topo, cache);
+            const Algorithm want =
+                plan::choose_algorithm(topo, kind, bytes, opts);
+            EXPECT_EQ(p.algorithm, want)
+                << coll::coll_kind_name(kind) << " bytes=" << bytes
+                << " threshold=" << threshold << " p=" << topo.nranks();
+            // The slot-side key bit is exactly the slot band.
+            EXPECT_EQ((key.bucket & plan::kSlotSide) != 0,
+                      want == Algorithm::slot)
+                << coll::coll_kind_name(kind) << " bytes=" << bytes;
+          }
         }
       }
     }
   }
+  // slot_fits is the division-free form of s <= slot_capacity(p).
+  for (int p = 1; p <= rt::kMaxRanks; ++p) {
+    const std::size_t cap = rt::slot_capacity(p);
+    EXPECT_TRUE(rt::slot_fits(p, cap)) << "p=" << p;
+    EXPECT_FALSE(rt::slot_fits(p, cap + 1)) << "p=" << p;
+    EXPECT_LE(static_cast<std::size_t>(p) * cap, rt::kSlotNodeBytes);
+  }
+  EXPECT_FALSE(rt::slot_fits(1, ~std::size_t{0}));
+  // The slot band: allreduce/reduce/broadcast with p*s within
+  // rt::kSlotNodeBytes; reduce_scatter and allgather never take it.
+  const rt::Topology t8(8, 2);
+  const CollOpts opts;
+  EXPECT_EQ(plan::choose_algorithm(t8, CollKind::allreduce, 4u << 10, opts),
+            Algorithm::slot);
+  EXPECT_EQ(plan::choose_algorithm(t8, CollKind::reduce, 4u << 10, opts),
+            Algorithm::slot);
+  EXPECT_EQ(plan::choose_algorithm(t8, CollKind::broadcast, 4u << 10, opts),
+            Algorithm::slot);
+  EXPECT_EQ(
+      plan::choose_algorithm(t8, CollKind::allreduce, (4u << 10) + 1, opts),
+      Algorithm::dpml_two_level);
+  EXPECT_EQ(
+      plan::choose_algorithm(t8, CollKind::broadcast, (4u << 10) + 1, opts),
+      Algorithm::pipelined);
+  EXPECT_EQ(plan::choose_algorithm(t8, CollKind::reduce_scatter, 64, opts),
+            Algorithm::dpml_two_level);
+  EXPECT_EQ(plan::choose_algorithm(t8, CollKind::allgather, 64, opts),
+            Algorithm::pipelined);
   // Single-socket and ragged topologies fall back to flat MA above the
   // threshold.
   const rt::Topology flat(6, 1), ragged(7, 2);
-  CollOpts opts;
-  EXPECT_EQ(plan::choose_reduction_algorithm(flat, 1u << 20, opts),
-            Algorithm::ma_flat);
-  EXPECT_EQ(plan::choose_reduction_algorithm(ragged, 1u << 20, opts),
-            Algorithm::ma_flat);
+  EXPECT_EQ(
+      plan::choose_algorithm(flat, CollKind::allreduce, 1u << 20, opts),
+      Algorithm::ma_flat);
+  EXPECT_EQ(
+      plan::choose_algorithm(ragged, CollKind::allreduce, 1u << 20, opts),
+      Algorithm::ma_flat);
 }
 
 TEST(PlanPrior, NtAdvisoryMatchesPaperSwitchPoint) {
@@ -221,7 +266,11 @@ TEST(PlanCache, HitMissAccountingAndCorrectResults) {
 TEST(PlanCache, QueryServesPriorUntilACommitExists) {
   rt::ThreadTeam team(tuned_cfg(8, 2, rt::TuneMode::prior));
   const CollOpts opts;
-  const auto small = plan::query(team, CollKind::allreduce, 4u << 10,
+  const auto tiny = plan::query(team, CollKind::allreduce, 4u << 10,
+                                Datatype::f64, ReduceOp::sum, opts);
+  EXPECT_EQ(tiny.algorithm, Algorithm::slot);  // 8 * 4 KB fits the slots
+  EXPECT_EQ(tiny.source, plan::PlanSource::prior);
+  const auto small = plan::query(team, CollKind::allreduce, 16u << 10,
                                  Datatype::f64, ReduceOp::sum, opts);
   EXPECT_EQ(small.algorithm, Algorithm::dpml_two_level);
   EXPECT_EQ(small.source, plan::PlanSource::prior);
@@ -300,6 +349,101 @@ TEST(PlanOnline, ExploredArmsStillComputeCorrectReductions) {
                       ReduceOp::sum);
       ASSERT_TRUE(test::check_reduced(out.data(), count, Datatype::f64,
                                       ctx.nranks(), ReduceOp::sum));
+    }
+  });
+  EXPECT_GT(plan::tune_stats(team).explores, 0u);
+}
+
+// ---- the slot arm never serves above its capacity ----------------------------
+
+TEST(PlanSlot, ArmTablesAndLoadedPlansStayInsideTheSlotBand) {
+  rt::ThreadTeam team(tuned_cfg(4, 2, rt::TuneMode::prior));
+  const rt::Topology& topo = team.topo();
+  const CollOpts opts;
+  const std::size_t cap = rt::slot_capacity(4);
+  // Online arm tables offer the slot arm exactly on slot-side keys.
+  for (const auto kind :
+       {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter,
+        CollKind::broadcast, CollKind::allgather})
+    for (const std::size_t bytes :
+         {std::size_t{64}, cap, cap + 1, std::size_t{64} << 10,
+          std::size_t{4} << 20}) {
+      const auto key = plan::make_key(kind, bytes, Datatype::f64,
+                                      ReduceOp::sum, topo, opts);
+      bool offers_slot = false;
+      for (int a = 0; a < plan::arm_count(key, opts, topo); ++a)
+        offers_slot = offers_slot ||
+                      plan::arm_plan(a, key, opts, topo, team.config().cache)
+                              .algorithm == Algorithm::slot;
+      EXPECT_EQ(offers_slot, (key.bucket & plan::kSlotSide) != 0)
+          << coll::coll_kind_name(kind) << " bytes=" << bytes;
+    }
+
+  // A warmed slot plan loads only for a slot-side key.
+  char sig[17];
+  std::snprintf(sig, sizeof sig, "%016llx",
+                static_cast<unsigned long long>(team.plan_signature()));
+  bench::Json plans = bench::Json::array();
+  for (const std::size_t bytes : {std::size_t{64}, cap + 1}) {
+    bench::Json e = bench::Json::object();
+    e.set("signature", sig);
+    e.set("collective", "allreduce");
+    e.set("dtype", "f64");
+    e.set("op", "sum");
+    e.set("algorithm", "slot");
+    e.set("nt", "adaptive");
+    e.set("source", "bench");
+    e.set("ranks", 4);
+    e.set("sockets", 2);
+    e.set("bucket", static_cast<int>(plan::bucket_of(CollKind::allreduce,
+                                                     bytes, 4, opts)));
+    e.set("slice_max", 0);
+    e.set("dpml_chunk", 0);
+    e.set("arm", 0);
+    e.set("nt_prior", false);
+    plans.push_back(std::move(e));
+  }
+  bench::Json doc = bench::Json::object();
+  doc.set("schema", plan::kPlanSchema);
+  doc.set("plans", std::move(plans));
+  EXPECT_EQ(plan::load_plans(team, doc), 1);
+  const auto in_band = plan::query(team, CollKind::allreduce, 64,
+                                   Datatype::f64, ReduceOp::sum);
+  EXPECT_EQ(in_band.algorithm, Algorithm::slot);
+  EXPECT_EQ(in_band.source, plan::PlanSource::bench);
+  const auto above = plan::query(team, CollKind::allreduce, cap + 1,
+                                 Datatype::f64, ReduceOp::sum);
+  EXPECT_EQ(above.algorithm, Algorithm::dpml_two_level);
+  EXPECT_EQ(above.source, plan::PlanSource::prior);
+}
+
+TEST(PlanSlot, ExploringTheSlotBandStaysCorrect) {
+  // eps = 1: every call picks a random arm, so slot calls interleave with
+  // DPML / MA / pipelined calls of the same size class.
+  EnvGuard g("YHCCL_TUNE_EPS", "1");
+  rt::ThreadTeam team(tuned_cfg(6, 2, rt::TuneMode::online));
+  const std::size_t count = 300;  // 6 * 2.4 KB: inside the slot band
+  team.run([&](rt::RankCtx& ctx) {
+    const int p = ctx.nranks();
+    std::vector<double> in(count), out(count), want(count);
+    for (int c = 0; c < 30; ++c) {
+      const int root = c % p;
+      test::fill_buffer(in.data(), count, Datatype::f64, ctx.rank(),
+                        ReduceOp::sum);
+      coll::allreduce(ctx, in.data(), out.data(), count, Datatype::f64,
+                      ReduceOp::sum);
+      ASSERT_TRUE(test::check_reduced(out.data(), count, Datatype::f64, p,
+                                      ReduceOp::sum));
+      coll::reduce(ctx, in.data(), out.data(), count, Datatype::f64,
+                   ReduceOp::sum, root);
+      if (ctx.rank() == root)
+        ASSERT_TRUE(test::check_reduced(out.data(), count, Datatype::f64, p,
+                                        ReduceOp::sum));
+      test::fill_buffer(want.data(), count, Datatype::f64, root,
+                        ReduceOp::sum);
+      if (ctx.rank() == root) out = want;
+      coll::broadcast(ctx, out.data(), count, Datatype::f64, root);
+      ASSERT_EQ(out, want);
     }
   });
   EXPECT_GT(plan::tune_stats(team).explores, 0u);
