@@ -32,7 +32,8 @@
 namespace yhccl::rt {
 
 /// Node-wide byte budget of the slot arm: a call fits when p·s stays
-/// within it (the measured crossover against DPML; docs/tuning.md).
+/// within it (the crossover against DPML measured at p = 2 and 3; at
+/// p = 4 the crossover is lower, see docs/tuning.md).
 inline constexpr std::size_t kSlotNodeBytes = 32u << 10;
 
 /// Bytes of one rank's slot at p ranks: a cacheline multiple with
