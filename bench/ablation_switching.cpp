@@ -1,9 +1,11 @@
-// Ablation (ours): the §5.1 algorithm-switching rules.  Compares the
+// Ablation (ours): the algorithm-switching rules (§5.1, with the switch
+// points derived by the cost model, docs/tuning.md).  Compares the
 // three reduction engines (two-level DPML, flat MA, socket-aware MA)
 // across the small-to-large message range and checks that the automatic
 // switcher tracks the per-size winner, i.e. auto ~= min(arms).
 #include "bench_util.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 
 using namespace yhccl;
 using namespace yhccl::bench;
@@ -30,9 +32,11 @@ int main() {
       {"socket-MA", arm_for(coll::Algorithm::ma_socket_aware)},
   };
 
+  const auto sp = coll::plan::switch_points(coll::CollKind::allreduce, p, m,
+                                            coll::CollOpts{});
   std::printf("Ablation — algorithm switching for all-reduce (p=%d, m=%d, "
-              "threshold=256KB)\n",
-              p, m);
+              "slot <= %zu B, DPML <= %zu B)\n",
+              p, m, sp.slot_max, sp.dpml_max);
   Session session("ablation_switching");
   auto table = sweep(team, "allreduce engines (relative to auto)", arms,
                      sizes, hi, hi, &session, "allreduce");

@@ -14,9 +14,16 @@
 //
 // Like OSU, every size runs inside one Team::run: a warm-up, a barrier,
 // then `iters` back-to-back calls, so rank wake-up is not part of the
-// time.  Columns: size, then the per-call latency (us) averaged over the
-// ranks and its min/max across ranks, then the average in units of one
-// node barrier measured the same way in the same run.
+// time.  Rank r pins itself to CPU r when the ranks fit the CPUs
+// (unpinned ranks of a thread team fall into a slow mode where one barrier
+// costs about 10x more).  Columns: size, then the per-call latency (us) averaged
+// over the ranks and its min/max across ranks, then the average in units
+// of one node barrier measured the same way in the same run, then the
+// cost model's prediction (us) for the arm that ran (for `-a auto`, the
+// arm the prior picked, named in the last column).
+#include <sched.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +33,7 @@
 
 #include "yhccl/coll/coll.hpp"
 #include "yhccl/coll/extra.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "yhccl/common/time.hpp"
 #include "yhccl/runtime/thread_team.hpp"
 
@@ -76,6 +84,35 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
+/// Pin rank r to CPU r; ranks that outnumber the CPUs stay unpinned.
+void pin_rank(int rank, int ranks) {
+  if (ranks > static_cast<int>(sysconf(_SC_NPROCESSORS_ONLN))) return;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(rank, &set);
+  sched_setaffinity(0, sizeof(set), &set);
+}
+
+/// Kind and switching-rule message size of one call of `c`, for the model.
+bool model_kind(const std::string& c, std::size_t bytes, int p,
+                coll::CollKind* kind, std::size_t* msg) {
+  *msg = bytes;
+  if (c == "allreduce") *kind = coll::CollKind::allreduce;
+  else if (c == "reduce") *kind = coll::CollKind::reduce;
+  else if (c == "bcast") *kind = coll::CollKind::broadcast;
+  else if (c == "reduce_scatter" || c == "allgather") {
+    // Both move count / p elements per rank; reduce_scatter is sized by
+    // its total input, allgather by the per-rank block.
+    const std::size_t block = bytes / 8 / static_cast<std::size_t>(p) * 8;
+    *kind = c == "allgather" ? coll::CollKind::allgather
+                             : coll::CollKind::reduce_scatter;
+    *msg = c == "allgather" ? block : block * static_cast<std::size_t>(p);
+  } else {
+    return false;
+  }
+  return true;
+}
+
 /// Seconds per call of `body`, timed on this rank after a barrier.
 template <class Body>
 double time_calls(rt::RankCtx& ctx, int iters, Body&& body) {
@@ -100,8 +137,30 @@ int main(int argc, char** argv) {
   std::printf("# YHCCL OSU-style %s benchmark (p=%d, m=%d, algo=%s%s)\n",
               c.c_str(), p, cfg.nsockets, coll::algorithm_name(a.algo),
               a.check ? ", -c" : "");
-  std::printf("%-12s %12s %12s %12s %10s\n", "# Size", "Avg(us)", "Min(us)",
-              "Max(us)", "Barriers");
+  // The cost model's sync constants, probed on this team: one node barrier,
+  // and one flag hand-off while every rank posts a step and then waits for
+  // its left neighbour's (an MA round's pattern).
+  double probe_bar = 0, probe_flag = 0;
+  team.run([&](rt::RankCtx& ctx) {
+    const int r = ctx.rank();
+    pin_rank(r, p);
+    const std::uint64_t seq = ctx.next_seq();
+    std::uint64_t k = 0;
+    const double bar = time_calls(ctx, 20000, [&] { ctx.barrier(); });
+    const double flag = time_calls(ctx, 20000, [&] {
+      const std::uint64_t v = rt::RankCtx::step_value(seq, ++k);
+      ctx.step_publish(v);
+      if (p > 1) ctx.step_wait((r + p - 1) % p, v);
+    });
+    if (r == 0) {
+      probe_bar = bar;
+      probe_flag = flag;
+    }
+  });
+  std::printf("# probes: barrier %.3f us, flag hand-off %.3f us\n",
+              probe_bar * 1e6, probe_flag * 1e6);
+  std::printf("%-12s %12s %12s %12s %10s %10s  %s\n", "# Size", "Avg(us)",
+              "Min(us)", "Max(us)", "Barriers", "Model(us)", "Arm");
 
   std::vector<double> per_rank(static_cast<std::size_t>(p));
   std::vector<double> barrier_s(static_cast<std::size_t>(p));
@@ -121,6 +180,7 @@ int main(int argc, char** argv) {
         a.iters > 0 ? a.iters : bytes <= (64u << 10) ? 2000 : 50;
     team.run([&](rt::RankCtx& ctx) {
       const int r = ctx.rank();
+      pin_rank(r, p);
       double* sb = send[r].data();
       double* rb = recv[r].data();
       std::function<void()> call;
@@ -182,8 +242,20 @@ int main(int argc, char** argv) {
       else if (c == "bcast")
         for (int r = 0; r < p; ++r) ok = ok && all_equal(recv[r], 1.0);
     }
-    std::printf("%-12zu %12.2f %12.2f %12.2f %10.2f%s\n", bytes,
-                sum / p * 1e6, mn * 1e6, mx * 1e6, sum / bar,
+    coll::CollKind kind{};
+    std::size_t msg = 0;
+    const bool modeled = model_kind(c, bytes, p, &kind, &msg);
+    const rt::Topology& topo = team.topo();
+    const coll::Algorithm arm =
+        modeled ? coll::plan::choose_algorithm(topo, kind, msg, opts)
+                : a.algo;
+    const double model_us =
+        modeled ? coll::plan::predicted_us(kind, arm, msg, p,
+                                           topo.nsockets(), opts)
+                : 0.0;
+    std::printf("%-12zu %12.2f %12.2f %12.2f %10.2f %10.2f  %s%s\n", bytes,
+                sum / p * 1e6, mn * 1e6, mx * 1e6, sum / bar, model_us,
+                coll::algorithm_name(arm),
                 a.check ? (ok ? "  [OK]" : "  [FAILED]") : "");
     if (!ok) return 1;
   }

@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "yhccl/copy/cache_model.hpp"
 #include "yhccl/model/dav_model.hpp"
 
@@ -28,7 +29,6 @@ int main(int argc, char** argv) {
   else if (std::strcmp(preset, "detect") == 0)
     cache = copy::CacheConfig::detect();
 
-  const double dab = 200e9;  // assumed node copy bandwidth
   std::printf("node: p=%d ranks, m=%d sockets, cache %s\n", p, m,
               cache.describe().c_str());
   std::printf("available cache C = c' + p*c'' = %.1f MB\n\n",
@@ -53,20 +53,27 @@ int main(int argc, char** argv) {
               "for s > %.0f KB\n",
               sw / 1024.0);
 
-  std::printf("\nper-size advice (threshold 256 KB, DAB %.0f GB/s):\n",
-              dab / 1e9);
-  std::printf("  %-10s %-14s %-10s %14s\n", "size", "algorithm", "stores",
+  // The runtime's own rule: the cost model's switch points for this shape
+  // (docs/tuning.md, "How the prior picks an arm"; constants measured on
+  // the 4-vCPU reference host, so the times are that host's).
+  const coll::CollOpts opts;
+  const auto sp =
+      coll::plan::switch_points(coll::CollKind::allreduce, p, m, opts);
+  std::printf("\nall-reduce switch points: slot up to %zu B, DPML up to "
+              "%zu B, MA above\n",
+              sp.slot_max, sp.dpml_max);
+  std::printf("per-size advice:\n");
+  std::printf("  %-10s %-14s %-14s %14s\n", "size", "algorithm", "stores",
               "pred. time(us)");
+  const rt::Topology topo(p, m);
   for (std::size_t s = 16u << 10; s <= 256u << 20; s *= 4) {
-    const char* alg = s <= (256u << 10)
-                          ? "dpml-2l"
-                          : (m > 1 ? "socket-MA" : "flat-MA");
+    const auto alg = coll::plan::choose_algorithm(
+        topo, coll::CollKind::allreduce, s, opts);
     const char* stores = s > sw ? "non-temporal" : "temporal";
-    const auto dav = s <= (256u << 10)
-                         ? md::paper::dpml_allreduce(s, p)
-                         : md::paper::socket_ma_allreduce(s, p, m);
-    std::printf("  %-10.0fKB %-14s %-10s %14.1f\n", s / 1024.0, alg, stores,
-                md::time_from_dav(dav, dab) * 1e6);
+    std::printf("  %-10.0fKB %-14s %-14s %14.1f\n", s / 1024.0,
+                coll::algorithm_name(alg), stores,
+                coll::plan::predicted_us(coll::CollKind::allreduce, alg, s,
+                                         p, m, opts));
   }
   return 0;
 }

@@ -244,6 +244,7 @@ void dpml_two_level_reduce(RankCtx& ctx, const void* send, void* recv,
                            std::size_t count, Datatype d, ReduceOp op,
                            int root, const CollOpts& opts) {
   detail::check_reduction_args(ctx, send, count, d, op);
+  detail::check_root(ctx, root);
   if (count == 0) return;
   const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);

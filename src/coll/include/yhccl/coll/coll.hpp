@@ -4,10 +4,13 @@
 // allgather) pick an algorithm per the paper's switching rules (§5.1):
 // two-level DPML for small messages, socket-aware movement-avoiding (MA)
 // reduction otherwise, flat MA when the topology has one socket.  Below
-// that, allreduce, reduce and broadcast take the single-sync slot arm when
-// p·s fits rt::kSlotNodeBytes (one flag round, no barrier).  Every
-// slice copy goes through the adaptive non-temporal policy (§4) unless the
-// caller forces a policy arm for experiments.
+// that, allreduce, reduce and broadcast take the single-sync slot arm (one
+// flag round, no barrier) within p·s <= rt::kSlotNodeBytes.  Where one arm
+// hands over to the next is not the paper's fixed 256 KB but the
+// crossover of a cost model over the arms' exact op counts
+// (plan::switch_points).  Every slice copy goes through the adaptive
+// non-temporal policy (§4) unless the caller forces a policy arm for
+// experiments.
 //
 // Buffer semantics follow MPI:
 //   reduce_scatter — `send` holds nranks*count elements; rank i receives
@@ -60,9 +63,6 @@ struct CollOpts {
   Algorithm algorithm = Algorithm::automatic;
   std::size_t slice_max = 256u << 10;  ///< Imax (256 KB on NodeA, §5.3)
   std::size_t slice_min = kCacheline;  ///< Imin = cache line (§5.1)
-  /// Below this message size the reduction collectives switch to the
-  /// two-level DPML algorithm (§5.1: "e.g. s <= 256 KB").
-  std::size_t small_msg_threshold = 256u << 10;
   /// Per-round chunk (bytes of each ownership block) for the DPML-style
   /// parallel reduction; the paper tunes this to small values (8 KB on
   /// NodeA, §5.3).  Clamped to the available scratch automatically.
@@ -86,8 +86,8 @@ void broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
 void allgather(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, const CollOpts& opts = {});
 
-/// The allreduce/reduce switching rule (exposed for tests/benches):
-/// the slot arm when p·msg_bytes fits, then the §5.1 rule.
+/// The allreduce switching rule (exposed for tests/benches): the slot arm,
+/// then DPML, then MA, at plan::switch_points.
 Algorithm choose_reduction_algorithm(const RankCtx& ctx,
                                      std::size_t msg_bytes,
                                      const CollOpts& opts);

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "yhccl/common/error.hpp"
@@ -129,6 +130,16 @@ inline void check_root(const RankCtx& ctx, int root) {
   YHCCL_REQUIRE(root >= 0 && root < ctx.nranks(),
                 "root " + std::to_string(root) + " outside [0, " +
                     std::to_string(ctx.nranks()) + ")");
+}
+
+/// Operands either coincide (in place) or are disjoint: a partial overlap
+/// would have the reduction read bytes it has already overwritten.
+inline void check_overlap(const void* send, const void* recv,
+                          std::size_t bytes) {
+  const auto s = reinterpret_cast<std::uintptr_t>(send);
+  const auto r = reinterpret_cast<std::uintptr_t>(recv);
+  YHCCL_REQUIRE(s == r || recv == nullptr || s >= r + bytes || r >= s + bytes,
+                "send and recv overlap without being the same buffer");
 }
 
 /// Scratch carve-out with bounds checking; all ranks compute identical

@@ -14,7 +14,9 @@
 //
 // Plans are seeded from three layered sources:
 //   prior   — the paper's rules evaluated analytically: §5.1 switching for
-//             the algorithm, the §5.4 work-set model for the NT advisory.
+//             the algorithm, at switch points derived from the cost model
+//             (switch_points below), the §5.4 work-set model for the NT
+//             advisory.
 //   bench   — offline warming from yhccl-bench/1 reports (PR-4 campaign),
 //             persisted in the exact-JSON "yhccl-plan/1" format and loaded
 //             via $YHCCL_PLAN_FILE.
@@ -69,12 +71,12 @@ constexpr const char* plan_source_name(PlanSource s) noexcept {
 
 /// Identity of one cached decision.  `bucket` is a power-of-two size class
 /// over the switching-rule message size — bucket b covers (2^(b-1), 2^b]
-/// bytes — with bit 6 marking the above-threshold side when the caller's
-/// small_msg_threshold splits a bucket, so the §5.1 decision is constant
-/// within every bucket for *any* threshold, not just power-of-two ones.
-/// Bit 7 (kSlotSide) marks the slot band of allreduce/reduce/broadcast
-/// (p·s within rt::kSlotNodeBytes): only keys carrying it may ever serve
-/// Algorithm::slot, whatever a warmed or online plan says.
+/// bytes — with bit 6 marking the MA side of the DPML/MA switch point when
+/// it splits a bucket, so the decision is constant within every bucket for
+/// *any* switch point, not just power-of-two ones.  Bit 7 (kSlotSide) marks
+/// the slot band of allreduce/reduce/broadcast (SwitchPoints::slot_max):
+/// only keys carrying it may ever serve Algorithm::slot, whatever a warmed
+/// or online plan says.
 struct PlanKey {
   CollKind kind = CollKind::allreduce;
   Datatype dtype = Datatype::f64;
@@ -91,8 +93,8 @@ struct PlanKey {
                      std::uint64_t opts_sig) const noexcept;
 };
 
-/// Tuning-relevant CollOpts fingerprint.  Calls with non-default slicing,
-/// thresholds or copy policy tune in their own key space; persisted plans
+/// Tuning-relevant CollOpts fingerprint.  Calls with non-default slicing
+/// or copy policy tune in their own key space; persisted plans
 /// are stored for (and only ever served to) default-option calls.
 std::uint64_t opts_signature(const CollOpts& opts) noexcept;
 
@@ -105,13 +107,31 @@ constexpr bool slot_kind(CollKind k) noexcept {
          k == CollKind::broadcast;
 }
 
+/// Where the analytic prior switches arms for one (kind, shape, options):
+/// the slot arm for s <= slot_max (0 for kinds it does not serve), then
+/// two-level DPML for reductions with s <= dpml_max, MA above.  Both are
+/// the crossovers of the model::predict_us costs of the arms' exact op
+/// counts (docs/tuning.md "How the prior picks an arm"); slot_max never
+/// exceeds rt::slot_capacity(ranks).  Memoized per shape: O(1) after the
+/// first call.
+struct SwitchPoints {
+  std::size_t slot_max = 0;
+  std::size_t dpml_max = 0;
+};
+SwitchPoints switch_points(CollKind kind, int ranks, int sockets,
+                           const CollOpts& opts) noexcept;
+
+/// The cost model's predicted µs for `a` serving one call of `kind`.
+double predicted_us(CollKind kind, Algorithm a, std::size_t msg_bytes,
+                    int ranks, int sockets, const CollOpts& opts) noexcept;
+
 /// Size bucket + representative size of the switching-rule message size
 /// `msg_bytes` (total input for reduce_scatter, per-rank bytes otherwise)
-/// on a team of `ranks` ranks.
+/// on a team of `ranks` ranks over `sockets` sockets.
 std::uint8_t bucket_of(CollKind kind, std::size_t msg_bytes, int ranks,
-                       const CollOpts& opts) noexcept;
+                       int sockets, const CollOpts& opts) noexcept;
 std::size_t bucket_rep_bytes(CollKind kind, std::uint8_t bucket, int ranks,
-                             const CollOpts& opts) noexcept;
+                             int sockets, const CollOpts& opts) noexcept;
 
 /// Key of a concrete call (op is normalized to `sum` for the
 /// non-reduction collectives, which take no operator).
@@ -144,10 +164,9 @@ struct Plan {
 /// Pure switching rule over a topology (no RankCtx needed, so the prior is
 /// computable parent-side and in offline tools): an explicit
 /// opts.algorithm wins; then the slot arm for allreduce/reduce/broadcast
-/// when msg_bytes <= small_msg_threshold and p·msg_bytes fits
-/// rt::kSlotNodeBytes; then §5.1 for the reductions (DPML below the
-/// threshold, socket-aware MA above it, flat MA on one socket) and the
-/// pipeline for broadcast/allgather.
+/// up to SwitchPoints::slot_max; then §5.1 for the reductions (DPML up to
+/// SwitchPoints::dpml_max, socket-aware MA above it, flat MA on one
+/// socket) and the pipeline for broadcast/allgather.
 Algorithm choose_algorithm(const rt::Topology& topo, CollKind kind,
                            std::size_t msg_bytes,
                            const CollOpts& opts) noexcept;

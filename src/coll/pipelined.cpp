@@ -30,6 +30,7 @@ std::size_t pipeline_slice(std::size_t total, const CollOpts& opts) {
 
 void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
                          Datatype d, int root, const CollOpts& opts) {
+  detail::check_root(ctx, root);
   trace::CollScope coll_scope(detail::trace_coll_id(CollKind::broadcast),
                               count * dtype_size(d),
                               detail::trace_alg_id(Algorithm::pipelined));

@@ -2,10 +2,12 @@
 // (docs/tuning.md).  Everything here is a pure function of its arguments:
 // the agreement argument in plan.hpp leans on that.
 #include <algorithm>
+#include <atomic>
 #include <bit>
 
 #include "yhccl/coll/detail.hpp"
 #include "yhccl/coll/plan.hpp"
+#include "yhccl/model/dav_model.hpp"
 #include "yhccl/runtime/slot.hpp"
 
 namespace yhccl::coll::plan {
@@ -17,8 +19,8 @@ bool is_reduction(CollKind k) noexcept {
          k == CollKind::reduce_scatter;
 }
 
-bool socket_topology(const rt::Topology& topo) noexcept {
-  return topo.nsockets() > 1 && topo.nranks() % topo.nsockets() == 0;
+bool socket_shape(int ranks, int sockets) noexcept {
+  return sockets > 1 && ranks % sockets == 0;
 }
 
 }  // namespace
@@ -64,45 +66,248 @@ std::uint64_t opts_signature(const CollOpts& opts) noexcept {
   fold(static_cast<std::uint64_t>(opts.policy));
   fold(opts.slice_max);
   fold(opts.slice_min);
-  fold(opts.small_msg_threshold);
   fold(opts.dpml_chunk);
   fold(opts.dpml_flat ? 1 : 0);
   return h;
 }
 
-// ---- size buckets -----------------------------------------------------------
+// ---- cost-model switch points -----------------------------------------------
+// The prior's thresholds are where the model::predict_us costs of the arms
+// cross (docs/tuning.md "How the prior picks an arm").  They are computed
+// once per shape and process by running the exact op-count simulators,
+// then memoized, so choose_algorithm stays O(1).
 
 namespace {
 
-bool slot_band(CollKind kind, std::size_t msg_bytes, int ranks,
-               const CollOpts& opts) noexcept {
-  return slot_kind(kind) && msg_bytes <= opts.small_msg_threshold &&
-         rt::slot_fits(ranks, msg_bytes);
+model::impl::OpGeometry geometry(int ranks, int sockets,
+                                 const CollOpts& o) noexcept {
+  model::impl::OpGeometry g;
+  g.p = ranks;
+  g.m = sockets;
+  g.slice_max = o.slice_max;
+  g.slice_min = o.slice_min;
+  g.dpml_chunk = o.dpml_chunk;
+  g.dpml_flat = o.dpml_flat;
+  return g;
+}
+
+/// The MA arm the prior runs on this shape.
+Algorithm ma_arm(int ranks, int sockets) noexcept {
+  return socket_shape(ranks, sockets) ? Algorithm::ma_socket_aware
+                                      : Algorithm::ma_flat;
+}
+
+model::impl::OpCounts arm_ops(CollKind kind, Algorithm a, std::size_t s,
+                              const model::impl::OpGeometry& g) noexcept {
+  namespace mi = model::impl;
+  const bool socket = a == Algorithm::ma_socket_aware;
+  switch (kind) {
+    case CollKind::allreduce:
+      if (a == Algorithm::slot) return mi::slot_allreduce_ops(s, g);
+      if (a == Algorithm::dpml_two_level) return mi::dpml_allreduce_ops(s, g);
+      return socket ? mi::socket_ma_allreduce_ops(s, g)
+                    : mi::ma_allreduce_ops(s, g);
+    case CollKind::reduce:
+      if (a == Algorithm::slot) return mi::slot_reduce_ops(s, g);
+      if (a == Algorithm::dpml_two_level) return mi::dpml_reduce_ops(s, g);
+      return socket ? mi::socket_ma_reduce_ops(s, g)
+                    : mi::ma_reduce_ops(s, g);
+    case CollKind::reduce_scatter:
+      if (a == Algorithm::dpml_two_level)
+        return mi::dpml_reduce_scatter_ops(s, g);
+      return socket ? mi::socket_ma_reduce_scatter_ops(s, g)
+                    : mi::ma_reduce_scatter_ops(s, g);
+    case CollKind::broadcast:
+      if (a == Algorithm::slot) return mi::slot_broadcast_ops(s, g);
+      return mi::pipelined_broadcast_ops(s, g);
+    default:
+      return mi::pipelined_allgather_ops(s, g);
+  }
+}
+
+double arm_us(CollKind kind, Algorithm a, std::size_t s,
+              const model::impl::OpGeometry& g) noexcept {
+  return model::predict_us(arm_ops(kind, a, s, g), g.p);
+}
+
+/// Largest s in [lo, hi] for which `wins` holds (0 if none), given that it
+/// holds on a prefix of the sizes: doubling scan, then bisection inside the
+/// octave.
+template <class Wins>
+std::size_t last_win(std::size_t lo, std::size_t hi, Wins&& wins) noexcept {
+  if (hi < lo || !wins(lo)) return 0;
+  for (;;) {
+    const std::size_t next = lo > hi / 2 ? hi : 2 * lo;
+    if (next == lo) return lo;
+    if (!wins(next)) {
+      std::size_t bad = next;
+      while (bad - lo > 1) {
+        const std::size_t mid = lo + (bad - lo) / 2;
+        (wins(mid) ? lo : bad) = mid;
+      }
+      return lo;
+    }
+    lo = next;
+  }
+}
+
+/// Sizes past which DPML never wins are searched no further: beyond
+/// 256 MB every shape's MA schedule needs fewer rounds than DPML's.
+constexpr std::size_t kScanBytes = std::size_t{1} << 28;
+
+SwitchPoints derive(CollKind kind, int ranks, int sockets,
+                    const CollOpts& o) noexcept {
+  const model::impl::OpGeometry g = geometry(ranks, sockets, o);
+  const Algorithm ma = ma_arm(ranks, sockets);
+  SwitchPoints sp;
+  if (is_reduction(kind))
+    // A reduce-scatter input moves nothing below one byte per rank.
+    sp.dpml_max = last_win(kind == CollKind::reduce_scatter
+                               ? static_cast<std::size_t>(ranks)
+                               : 1,
+                           kScanBytes, [&](std::size_t s) {
+      return arm_us(kind, Algorithm::dpml_two_level, s, g) <
+             arm_us(kind, ma, s, g);
+    });
+  if (slot_kind(kind))
+    sp.slot_max = last_win(1, rt::slot_capacity(ranks), [&](std::size_t s) {
+      const double other =
+          kind == CollKind::broadcast
+              ? arm_us(kind, Algorithm::pipelined, s, g)
+              : std::min(arm_us(kind, Algorithm::dpml_two_level, s, g),
+                         arm_us(kind, ma, s, g));
+      return arm_us(kind, Algorithm::slot, s, g) <= other;
+    });
+  return sp;
+}
+
+/// Publish-once memo, one table per kind: a writer claims an entry
+/// (`claimed` 0 -> 1), fills it, then publishes its shape word (never 0,
+/// since ranks >= 1) with release; the entry is never written again, so a
+/// reader that acquires a matching shape word races with nobody.  A full
+/// table, or an entry another thread is still filling, only costs a
+/// recomputation.
+struct MemoEntry {
+  std::atomic<std::uint64_t> shape{0};  // shape_word()
+  std::atomic<int> claimed{0};
+  std::size_t slice_max = 0, slice_min = 0, dpml_chunk = 0;
+  SwitchPoints value;
+
+  bool holds(std::uint64_t sh, const CollOpts& o) const noexcept {
+    return shape.load(std::memory_order_acquire) == sh &&
+           slice_max == o.slice_max && slice_min == o.slice_min &&
+           dpml_chunk == o.dpml_chunk;
+  }
+};
+constexpr int kMemoKinds = static_cast<int>(CollKind::kCount_);
+constexpr int kMemoEntries = 16;
+MemoEntry g_memo[kMemoKinds][kMemoEntries];
+
+SwitchPoints memo_fill(CollKind kind, int ranks, int sockets,
+                       std::uint64_t shape, const CollOpts& opts) noexcept {
+  for (MemoEntry& e : g_memo[static_cast<int>(kind)]) {
+    if (e.holds(shape, opts)) return e.value;
+    int free = 0;
+    if (e.claimed.compare_exchange_strong(free, 1,
+                                          std::memory_order_acq_rel)) {
+      e.slice_max = opts.slice_max;
+      e.slice_min = opts.slice_min;
+      e.dpml_chunk = opts.dpml_chunk;
+      e.value = derive(kind, ranks, sockets, opts);
+      e.shape.store(shape, std::memory_order_release);
+      return e.value;
+    }
+  }
+  return derive(kind, ranks, sockets, opts);
+}
+
+std::uint64_t shape_word(int ranks, int sockets, const CollOpts& o) noexcept {
+  return static_cast<std::uint64_t>(ranks & 0x1ff) |
+         static_cast<std::uint64_t>(sockets & 0x1f) << 9 |
+         static_cast<std::uint64_t>(o.dpml_flat ? 1 : 0) << 14;
+}
+
+bool default_slicing(const CollOpts& o) noexcept {
+  constexpr CollOpts kDefaults{};
+  return (o.slice_max == kDefaults.slice_max) &
+         (o.slice_min == kDefaults.slice_min) &
+         (o.dpml_chunk == kDefaults.dpml_chunk);
+}
+
+/// The hot path, for calls with default slicing options (every call the
+/// benchmarks and apps make): one self-contained word per kind packs the
+/// last shape derived under them with its switch points, so a hit costs
+/// one relaxed load.  shape: ranks 0-8 | sockets 9-13 | dpml_flat 14;
+/// slot_max (<= 32 KB) 15-30; dpml_max (<= kScanBytes) 31-59.
+std::atomic<std::uint64_t> g_fast[kMemoKinds];
+static_assert(rt::kSlotNodeBytes < (1u << 16) && kScanBytes < (1u << 29));
+
+bool fast_lookup(CollKind kind, int ranks, int sockets, const CollOpts& opts,
+                 SwitchPoints* sp) noexcept {
+  const int k = static_cast<int>(kind);
+  if (k < 0 || k >= kMemoKinds) return false;
+  const std::uint64_t w = g_fast[k].load(std::memory_order_relaxed);
+  // One branch for the whole test: it runs on every collective call.
+  if (!(((w & 0x7fff) == shape_word(ranks, sockets, opts)) &
+        default_slicing(opts)))
+    return false;
+  *sp = {(w >> 15) & 0xffff, (w >> 31) & 0x1fffffff};
+  return true;
+}
+
+[[gnu::noinline]] SwitchPoints slow_lookup(CollKind kind, int ranks,
+                                            int sockets,
+                                            const CollOpts& opts) noexcept {
+  if (static_cast<int>(kind) < 0 || static_cast<int>(kind) >= kMemoKinds)
+    return {};
+  const std::uint64_t shape = shape_word(ranks, sockets, opts);
+  const SwitchPoints sp = memo_fill(kind, ranks, sockets, shape, opts);
+  if (default_slicing(opts))
+    g_fast[static_cast<int>(kind)].store(
+        shape | static_cast<std::uint64_t>(sp.slot_max) << 15 |
+            static_cast<std::uint64_t>(sp.dpml_max) << 31,
+        std::memory_order_relaxed);
+  return sp;
 }
 
 }  // namespace
 
+SwitchPoints switch_points(CollKind kind, int ranks, int sockets,
+                           const CollOpts& opts) noexcept {
+  SwitchPoints sp;
+  return fast_lookup(kind, ranks, sockets, opts, &sp)
+             ? sp
+             : slow_lookup(kind, ranks, sockets, opts);
+}
+
+double predicted_us(CollKind kind, Algorithm a, std::size_t msg_bytes,
+                    int ranks, int sockets, const CollOpts& opts) noexcept {
+  return arm_us(kind, a, msg_bytes, geometry(ranks, sockets, opts));
+}
+
+// ---- size buckets -----------------------------------------------------------
+
 std::uint8_t bucket_of(CollKind kind, std::size_t msg_bytes, int ranks,
-                       const CollOpts& opts) noexcept {
+                       int sockets, const CollOpts& opts) noexcept {
   if (msg_bytes == 0) return 0;
   auto b = static_cast<std::uint8_t>(std::bit_width(msg_bytes - 1));
-  // The §5.1 threshold and the slot capacity may land inside a power-of-two
-  // bucket; splitting on them keeps the static decision constant within
-  // every (bucket, side) class for arbitrary thresholds and rank counts,
-  // so the prior is exact, never approximate.
-  if (is_reduction(kind) && msg_bytes > opts.small_msg_threshold)
-    b |= kAboveThreshold;
-  if (slot_band(kind, msg_bytes, ranks, opts)) b |= kSlotSide;
+  // The switch points may land inside a power-of-two bucket; splitting on
+  // them keeps the static decision constant within every (bucket, side)
+  // class for every shape and option set, so the prior is exact, never
+  // approximate.
+  const SwitchPoints sp = switch_points(kind, ranks, sockets, opts);
+  if (is_reduction(kind) && msg_bytes > sp.dpml_max) b |= kAboveThreshold;
+  if (msg_bytes <= sp.slot_max) b |= kSlotSide;
   return b;
 }
 
 std::size_t bucket_rep_bytes(CollKind kind, std::uint8_t bucket, int ranks,
-                             const CollOpts& opts) noexcept {
+                             int sockets, const CollOpts& opts) noexcept {
   std::size_t rep = std::size_t{1} << (bucket & 0x3f);
+  const SwitchPoints sp = switch_points(kind, ranks, sockets, opts);
   if (is_reduction(kind) && (bucket & kAboveThreshold) == 0)
-    rep = std::min(rep, opts.small_msg_threshold);
-  if ((bucket & kSlotSide) != 0)
-    rep = std::min({rep, opts.small_msg_threshold, rt::slot_capacity(ranks)});
+    rep = std::min(rep, sp.dpml_max);
+  if ((bucket & kSlotSide) != 0) rep = std::min(rep, sp.slot_max);
   return rep;
 }
 
@@ -113,7 +318,8 @@ PlanKey make_key(CollKind kind, std::size_t msg_bytes, Datatype d,
   k.kind = kind;
   k.dtype = d;
   k.op = is_reduction(kind) ? op : ReduceOp::sum;
-  k.bucket = bucket_of(kind, msg_bytes, topo.nranks(), opts);
+  k.bucket =
+      bucket_of(kind, msg_bytes, topo.nranks(), topo.nsockets(), opts);
   k.ranks = topo.nranks();
   k.sockets = topo.nsockets();
   return k;
@@ -200,15 +406,33 @@ void Plan::apply(CollOpts& o) const noexcept {
 
 // ---- analytic prior ---------------------------------------------------------
 
+namespace {
+
+Algorithm decide(const rt::Topology& topo, CollKind kind,
+                 std::size_t msg_bytes, const SwitchPoints& sp) noexcept {
+  if (slot_kind(kind) && msg_bytes <= sp.slot_max) return Algorithm::slot;
+  if (!is_reduction(kind)) return Algorithm::pipelined;
+  if (msg_bytes <= sp.dpml_max) return Algorithm::dpml_two_level;
+  return ma_arm(topo.nranks(), topo.nsockets());
+}
+
+[[gnu::noinline]] Algorithm choose_slow(const rt::Topology& topo,
+                                        CollKind kind, std::size_t msg_bytes,
+                                        const CollOpts& opts) noexcept {
+  return decide(topo, kind, msg_bytes,
+                slow_lookup(kind, topo.nranks(), topo.nsockets(), opts));
+}
+
+}  // namespace
+
 Algorithm choose_algorithm(const rt::Topology& topo, CollKind kind,
                            std::size_t msg_bytes,
                            const CollOpts& opts) noexcept {
   if (opts.algorithm != Algorithm::automatic) return opts.algorithm;
-  if (slot_band(kind, msg_bytes, topo.nranks(), opts)) return Algorithm::slot;
-  if (!is_reduction(kind)) return Algorithm::pipelined;
-  if (msg_bytes <= opts.small_msg_threshold) return Algorithm::dpml_two_level;
-  if (socket_topology(topo)) return Algorithm::ma_socket_aware;
-  return Algorithm::ma_flat;
+  SwitchPoints sp;
+  if (!fast_lookup(kind, topo.nranks(), topo.nsockets(), opts, &sp))
+    return choose_slow(topo, kind, msg_bytes, opts);
+  return decide(topo, kind, msg_bytes, sp);
 }
 
 bool prior_nt(CollKind kind, std::size_t msg_bytes, int p, int m,
@@ -246,8 +470,8 @@ Plan prior_plan(const PlanKey& key, const CollOpts& opts,
                 const rt::Topology& topo,
                 const copy::CacheConfig& cache) noexcept {
   Plan p;
-  const std::size_t rep =
-      bucket_rep_bytes(key.kind, key.bucket, topo.nranks(), opts);
+  const std::size_t rep = bucket_rep_bytes(key.kind, key.bucket, topo.nranks(),
+                                           topo.nsockets(), opts);
   p.algorithm = choose_algorithm(topo, key.kind, rep, opts);
   p.nt = NtChoice::adaptive;  // per-slice Algorithm 1 — the legacy behavior
   p.nt_prior = prior_nt(key.kind, rep, topo.nranks(), topo.nsockets(), cache,
@@ -288,7 +512,9 @@ int build_arms(const PlanKey& key, const CollOpts& opts,
                               Algorithm::ma_flat, Algorithm::ma_socket_aware};
     for (const Algorithm a : alts) {
       if (a == prior.algorithm) continue;
-      if (a == Algorithm::ma_socket_aware && !socket_topology(topo)) continue;
+      if (a == Algorithm::ma_socket_aware &&
+          !socket_shape(topo.nranks(), topo.nsockets()))
+        continue;
       Plan p = prior;
       p.algorithm = a;
       if (plan_servable(key, p)) out[n++] = p;

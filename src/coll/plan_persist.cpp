@@ -156,7 +156,8 @@ Json entry_to_json(std::uint64_t sig, const PlanKey& key, const Plan& p) {
   e.set("sockets", key.sockets);
   e.set("bucket", static_cast<int>(key.bucket));
   e.set("bytes_hi",
-        bucket_rep_bytes(key.kind, key.bucket, key.ranks, CollOpts{}));
+        bucket_rep_bytes(key.kind, key.bucket, key.ranks, key.sockets,
+                         CollOpts{}));
   e.set("algorithm", algorithm_name(p.algorithm));
   e.set("nt", nt_choice_name(p.nt));
   e.set("slice_max",
@@ -382,7 +383,8 @@ Json warm_from_bench(const Json& report) {
     if (median <= 0) continue;
     PlanKey key;
     key.kind = kind;
-    key.bucket = bucket_of(kind, s["bytes"].as_uint(), ranks, defaults);
+    key.bucket =
+        bucket_of(kind, s["bytes"].as_uint(), ranks, sockets, defaults);
     key.ranks = ranks;
     key.sockets = sockets;
     Plan cand;

@@ -227,6 +227,7 @@ void socket_ma_allreduce(RankCtx& ctx, const void* send, void* recv,
 void socket_ma_reduce(RankCtx& ctx, const void* send, void* recv,
                       std::size_t count, Datatype d, ReduceOp op, int root,
                       const CollOpts& opts) {
+  detail::check_root(ctx, root);
   trace::CollScope coll_scope(
       detail::trace_coll_id(CollKind::reduce), count * dtype_size(d),
       detail::trace_alg_id(Algorithm::ma_socket_aware));

@@ -72,6 +72,7 @@ void reduce_scatter(RankCtx& ctx, const void* send, void* recv,
 void allreduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, ReduceOp op, const CollOpts& opts) {
   const std::size_t total = count * dtype_size(d);
+  detail::check_overlap(send, recv, total);
   plan::TunedCall tc(ctx, CollKind::allreduce, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
   const Algorithm a = algorithm_for(tc, ctx, CollKind::allreduce, total, opts);
@@ -98,6 +99,7 @@ void reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
             Datatype d, ReduceOp op, int root, const CollOpts& opts) {
   detail::check_root(ctx, root);
   const std::size_t total = count * dtype_size(d);
+  detail::check_overlap(send, recv, total);
   plan::TunedCall tc(ctx, CollKind::reduce, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
   const Algorithm a = algorithm_for(tc, ctx, CollKind::reduce, total, opts);

@@ -1,6 +1,7 @@
 #include "yhccl/model/dav_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace yhccl::model {
 
@@ -656,6 +657,18 @@ double time_from_dav(std::uint64_t dav_bytes, double dab_bytes_per_sec) {
   return dab_bytes_per_sec <= 0
              ? 0.0
              : static_cast<double>(dav_bytes) / dab_bytes_per_sec;
+}
+
+double predict_us(const impl::OpCounts& node, int p,
+                  const CostConstants& k) noexcept {
+  const double ranks = std::max(p, 1);
+  const double barrier_us =
+      p < 2 ? 0.0 : k.barrier_us_per_level * std::log2(p);
+  return k.call_us +
+         (static_cast<double>(node.barriers) * barrier_us +
+          static_cast<double>(node.flag_waits) * k.flag_us +
+          static_cast<double>(node.dav()) / k.bytes_per_us) /
+             ranks;
 }
 
 }  // namespace yhccl::model

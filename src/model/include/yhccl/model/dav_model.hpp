@@ -1,5 +1,6 @@
 // Analytical data-access-volume (DAV) models — paper Tables 1, 2, 3 — plus
-// the NT-store switch-point model of §5.4 and a DAV/DAB time estimator.
+// the NT-store switch-point model of §5.4, a DAV/DAB time estimator and the
+// op-count cost model the algorithm switch points are derived from.
 //
 // Two families:
 //  * `paper::` — the formulas exactly as printed in the paper's tables.
@@ -140,5 +141,33 @@ std::size_t nt_switch_point_allreduce(std::size_t cache_capacity, int p,
 
 /// Predicted wall time from DAV and a measured memory bandwidth (DAB).
 double time_from_dav(std::uint64_t dav_bytes, double dab_bytes_per_sec);
+
+// ---- cost model (docs/tuning.md "How the prior picks an arm") ---------------
+// One call costs, on every rank in parallel, a fixed entry cost plus its
+// share of the node's op counts:
+//   t = t_call + barriers/p · t_barrier(p) + flag waits/p · t_flag + DAV/p / B.
+// The constants were measured on the 4-vCPU reference host with each rank
+// pinned to its own CPU; docs/tuning.md gives the runs they come from.
+
+struct CostConstants {
+  /// t_barrier(p) = this · log2(p): 0.24, 0.41 and 0.52 µs at p = 2, 3, 4
+  /// (osu_microbench's barrier probe; runtime.barrier_us at p = 2).
+  double barrier_us_per_level = 0.26;
+  /// One progress-flag hand-off while every rank hands off at once, as in
+  /// an MA round: 0.20-0.27 µs at p = 2, 3, 4 (osu_microbench's flag
+  /// probe).  The idle two-rank runtime.flag_pingpong_us reads 0.17.
+  double flag_us = 0.225;
+  /// Per-rank copy/reduce bandwidth in bytes per µs, and the entry cost
+  /// every arm pays: least-squares fit of the slot, DPML and MA sweeps of
+  /// allreduce, reduce and reduce-scatter, 1-64 KB at p = 2, 3, 4.
+  double bytes_per_us = 17.7e3;
+  double call_us = 0.4;
+};
+
+inline constexpr CostConstants kHostCost{};
+
+/// Predicted µs of one call from its exact node op counts (impl::*_ops).
+double predict_us(const impl::OpCounts& node, int p,
+                  const CostConstants& k = kHostCost) noexcept;
 
 }  // namespace yhccl::model

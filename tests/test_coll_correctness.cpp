@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/plan.hpp"
 #include "slot_matrix.hpp"
 #include "test_util.hpp"
 
@@ -296,9 +297,10 @@ TEST(CollEdge, SwitchingRespectsThresholdAndTopology) {
     CollOpts o;
     if (choose_reduction_algorithm(ctx, 1024, o) != Algorithm::slot)
       throw Error("p*s within the slot capacity should pick the slot arm");
+    // Two sockets of two: socket-MA needs fewer syncs than DPML.
     if (choose_reduction_algorithm(ctx, rt::slot_capacity(4) + 1, o) !=
-        Algorithm::dpml_two_level)
-      throw Error("small message above the slot band should pick DPML");
+        Algorithm::ma_socket_aware)
+      throw Error("above the slot band 2x2 ranks should pick socket-MA");
     if (choose_reduction_algorithm(ctx, 10u << 20, o) !=
         Algorithm::ma_socket_aware)
       throw Error("large message on 2 sockets should pick socket-MA");
@@ -311,6 +313,15 @@ TEST(CollEdge, SwitchingRespectsThresholdAndTopology) {
     CollOpts o;
     if (choose_reduction_algorithm(ctx, 10u << 20, o) != Algorithm::ma_flat)
       throw Error("single socket should pick flat MA");
+    // Four flat ranks: DPML's 3 barriers beat MA's 2 barriers + 3 flag
+    // hand-offs only where the cost model says so.
+    const std::size_t x =
+        plan::switch_points(CollKind::reduce_scatter, 4, 1, o).dpml_max;
+    if (plan::choose_algorithm(ctx.team().topo(), CollKind::reduce_scatter,
+                               x, o) != Algorithm::dpml_two_level ||
+        plan::choose_algorithm(ctx.team().topo(), CollKind::reduce_scatter,
+                               x + 1, o) != Algorithm::ma_flat)
+      throw Error("reduce-scatter should switch DPML -> MA at dpml_max");
   });
 }
 
@@ -399,6 +410,67 @@ TEST(CollEdge, OutOfRangeRootRaisesBeforeTouchingSharedState) {
   });
   for (int r = 0; r < 4; ++r)
     for (double x : b[r]) EXPECT_EQ(x, 4.0) << "rank " << r;
+}
+
+TEST(CollEdge, ExplicitRootedArmsRejectOutOfRangeRoot) {
+  auto& team = cached_team(4, 2);
+  std::vector<std::vector<double>> a(4, std::vector<double>(64, 1.0)),
+      b(4, std::vector<double>(64));
+  using ReduceArm = void (*)(RankCtx&, const void*, void*, std::size_t,
+                             Datatype, ReduceOp, int, const CollOpts&);
+  for (const int root : {4, -1}) {
+    for (const ReduceArm arm :
+         {ReduceArm{ma_reduce}, ReduceArm{socket_ma_reduce},
+          ReduceArm{dpml_two_level_reduce}})
+      EXPECT_THROW(team.run([&](RankCtx& ctx) {
+                     arm(ctx, a[ctx.rank()].data(), b[ctx.rank()].data(), 64,
+                         Datatype::f64, ReduceOp::sum, root, {});
+                   }),
+                   Error)
+          << "root " << root;
+    EXPECT_THROW(team.run([&](RankCtx& ctx) {
+                   pipelined_broadcast(ctx, a[ctx.rank()].data(), 64,
+                                       Datatype::f64, root);
+                 }),
+                 Error)
+        << "root " << root;
+  }
+  team.run([&](RankCtx& ctx) {
+    ma_reduce(ctx, a[ctx.rank()].data(), b[ctx.rank()].data(), 64,
+              Datatype::f64, ReduceOp::sum, 3);
+  });
+  for (double x : b[3]) EXPECT_EQ(x, 4.0);
+}
+
+TEST(CollEdge, PartialSendRecvOverlapRaises) {
+  auto& team = cached_team(4, 2);
+  const std::size_t n = 100;
+  std::vector<std::vector<double>> buf(4, std::vector<double>(n + 1, 1.0));
+  for (const std::ptrdiff_t shift : {1, -1}) {
+    EXPECT_THROW(team.run([&](RankCtx& ctx) {
+                   double* base = buf[ctx.rank()].data() + 1;
+                   allreduce(ctx, base, base + shift, n, Datatype::f64,
+                             ReduceOp::sum);
+                 }),
+                 Error)
+        << "allreduce shift " << shift;
+    EXPECT_THROW(team.run([&](RankCtx& ctx) {
+                   double* base = buf[ctx.rank()].data() + 1;
+                   reduce(ctx, base, base + shift, n - 1, Datatype::f64,
+                          ReduceOp::sum, 0);
+                 }),
+                 Error)
+        << "reduce shift " << shift;
+  }
+  // In place and disjoint stay legal; the team runs on.
+  team.run([&](RankCtx& ctx) {
+    double* v = buf[ctx.rank()].data();
+    allreduce(ctx, v, v, n, Datatype::f64, ReduceOp::sum);
+    reduce(ctx, v, v + n, 1, Datatype::f64, ReduceOp::sum, 0);
+  });
+  EXPECT_EQ(buf[0][0], 4.0);
+  EXPECT_EQ(buf[0][n], 16.0);
+  EXPECT_EQ(buf[1][n - 1], 4.0);
 }
 
 }  // namespace

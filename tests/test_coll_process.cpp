@@ -215,4 +215,49 @@ TEST(ProcessColl, OutOfRangeRootRaises) {
   for (int r = 0; r < 4; ++r) EXPECT_EQ(out[r], 4.0) << "rank " << r;
 }
 
+TEST(ProcessColl, ExplicitRootedArmsAndPartialOverlapRaise) {
+  auto& team = process_team(4, 2);
+  double x[2] = {1, 1}, y[2] = {0, 0};
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+                 coll::ma_reduce(ctx, x, y, 1, Datatype::f64, ReduceOp::sum,
+                                 /*root=*/4);
+               }),
+               Error);
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+                 coll::socket_ma_reduce(ctx, x, y, 1, Datatype::f64,
+                                        ReduceOp::sum, /*root=*/-1);
+               }),
+               Error);
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+                 coll::dpml_two_level_reduce(ctx, x, y, 1, Datatype::f64,
+                                             ReduceOp::sum, /*root=*/9);
+               }),
+               Error);
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+                 coll::pipelined_broadcast(ctx, x, 1, Datatype::f64,
+                                           /*root=*/4);
+               }),
+               Error);
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+                 double v[3] = {1, 1, 1};
+                 coll::allreduce(ctx, v, v + 1, 2, Datatype::f64,
+                                 ReduceOp::sum);
+               }),
+               Error);
+  EXPECT_THROW(team.run([&](rt::RankCtx& ctx) {
+                 double v[3] = {1, 1, 1};
+                 coll::reduce(ctx, v + 1, v, 2, Datatype::f64, ReduceOp::sum,
+                              0);
+               }),
+               Error);
+  // No rank got as far as a protocol step: the team runs on, unrecovered.
+  auto* out = reinterpret_cast<double*>(team.shared_alloc(4 * sizeof(double)));
+  team.run([&](rt::RankCtx& ctx) {
+    double v = 1;
+    coll::allreduce(ctx, &v, &v, 1, Datatype::f64, ReduceOp::sum);
+    out[ctx.rank()] = v;
+  });
+  for (int r = 0; r < 4; ++r) EXPECT_EQ(out[r], 4.0) << "rank " << r;
+}
+
 }  // namespace

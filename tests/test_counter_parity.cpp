@@ -20,7 +20,6 @@
 #include "test_util.hpp"
 
 using namespace yhccl;
-using test::cached_team;
 using test::fill_buffer;
 
 namespace {
@@ -99,14 +98,16 @@ TEST(CounterParityBackends, ProfilerRecordsBitIdenticalThreadVsFork) {
                              {2, 1, std::size_t{500}},
                              {4, 2, std::size_t{500}},
                              {3, 2, std::size_t{500}}}) {
-    auto& tteam = cached_team(p, m, kScratch);
-    const auto thread_profiles = profile_all(tteam, p, count);
-
+    // Two fresh teams of one config: under $YHCCL_TUNE=online the plan
+    // cache's exploration depends on each team's call history, which must
+    // then be the same on both backends.
     rt::TeamConfig cfg;
     cfg.nranks = p;
     cfg.nsockets = m;
     cfg.scratch_bytes = kScratch;
     cfg.shared_heap_bytes = 8u << 20;
+    rt::ThreadTeam tteam(cfg);
+    const auto thread_profiles = profile_all(tteam, p, count);
     rt::ProcessTeam pteam(cfg);
     const auto fork_profiles = profile_all(pteam, p, count);
 

@@ -342,8 +342,14 @@ TEST(MetricsParity, ThreadAndProcessBackendsAgree) {
     }
     EXPECT_EQ(calls, 5u) << "rank " << r;
     EXPECT_EQ(hist, calls) << "rank " << r;
-    // The default prior tuner served every kind: the gauges are populated.
-    EXPECT_TRUE(ym::gauge_valid(x.plan_gauge[1])) << "rank " << r;
+    // A tuner serves every kind and populates the plan gauges, unless the
+    // team runs with the tuner off ($YHCCL_TUNE=off): then none is served.
+    EXPECT_EQ(ym::gauge_valid(x.plan_gauge[1]),
+              tt->tune_mode() != rt::TuneMode::off)
+        << "rank " << r;
+    EXPECT_EQ(ym::gauge_valid(y.plan_gauge[1]),
+              pt->tune_mode() != rt::TuneMode::off)
+        << "rank " << r;
   }
 }
 

@@ -96,27 +96,32 @@ void run_logged_allreduce(rt::Team& team, int calls, std::size_t count,
 
 // ---- the prior reproduces the static rules ----------------------------------
 
-TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
+TEST(PlanPrior, MatchesStaticSwitchingRuleForEveryShape) {
   const copy::CacheConfig cache = copy::CacheConfig::node_a();
   // p = 3 and 6 put the slot capacity (32 KB / p, cacheline-rounded)
-  // inside a power-of-two bucket; thresholds below the capacity cut the
-  // slot band short.
+  // inside a power-of-two bucket; the derived switch points land inside
+  // buckets for most shapes; (7, 2) is ragged, (64, 2) is NodeA's shape.
+  CollOpts chunky, flat, narrow;
+  chunky.dpml_chunk = 8u << 10;
+  flat.dpml_flat = true;
+  narrow.slice_max = 64u << 10;
   for (const auto& topo :
        {rt::Topology(8, 2), rt::Topology(3, 1), rt::Topology(6, 2),
-        rt::Topology(2, 1)}) {
+        rt::Topology(2, 1), rt::Topology(4, 1), rt::Topology(4, 2),
+        rt::Topology(7, 2), rt::Topology(16, 2), rt::Topology(64, 2),
+        rt::Topology(1, 1)}) {
     const std::size_t cap = rt::slot_capacity(topo.nranks());
-    for (const std::size_t threshold :
-         {std::size_t{256} << 10, std::size_t{300000}, std::size_t{1} << 20,
-          std::size_t{1000}, std::size_t{0}}) {
-      CollOpts opts;
-      opts.small_msg_threshold = threshold;
+    for (const CollOpts& opts : {CollOpts{}, chunky, flat, narrow}) {
       for (const auto kind :
            {CollKind::allreduce, CollKind::reduce, CollKind::reduce_scatter,
             CollKind::broadcast, CollKind::allgather}) {
+        const plan::SwitchPoints sp = plan::switch_points(
+            kind, topo.nranks(), topo.nsockets(), opts);
+        EXPECT_LE(sp.slot_max, cap);
         for (std::size_t base :
              {std::size_t{1}, std::size_t{64}, std::size_t{4} << 10, cap,
-              std::size_t{256} << 10, threshold, std::size_t{1} << 20,
-              std::size_t{16} << 20}) {
+              sp.slot_max, sp.dpml_max, std::size_t{256} << 10,
+              std::size_t{1} << 20, std::size_t{16} << 20}) {
           for (std::size_t bytes :
                {base, base + 1, base > 1 ? base - 1 : base}) {
             if (bytes == 0) continue;
@@ -127,7 +132,7 @@ TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
                 plan::choose_algorithm(topo, kind, bytes, opts);
             EXPECT_EQ(p.algorithm, want)
                 << coll::coll_kind_name(kind) << " bytes=" << bytes
-                << " threshold=" << threshold << " p=" << topo.nranks();
+                << " p=" << topo.nranks() << " m=" << topo.nsockets();
             // The slot-side key bit is exactly the slot band.
             EXPECT_EQ((key.bucket & plan::kSlotSide) != 0,
                       want == Algorithm::slot)
@@ -145,8 +150,8 @@ TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
     EXPECT_LE(static_cast<std::size_t>(p) * cap, rt::kSlotNodeBytes);
   }
   EXPECT_FALSE(rt::slot_fits(1, ~std::size_t{0}));
-  // The slot band: allreduce/reduce/broadcast with p*s within
-  // rt::kSlotNodeBytes; reduce_scatter and allgather never take it.
+  // reduce_scatter and allgather never take the slot arm; broadcast and
+  // allgather above it take the pipeline.
   const rt::Topology t8(8, 2);
   const CollOpts opts;
   EXPECT_EQ(plan::choose_algorithm(t8, CollKind::allreduce, 4u << 10, opts),
@@ -156,24 +161,68 @@ TEST(PlanPrior, MatchesStaticSwitchingRuleForEverySizeAndThreshold) {
   EXPECT_EQ(plan::choose_algorithm(t8, CollKind::broadcast, 4u << 10, opts),
             Algorithm::slot);
   EXPECT_EQ(
-      plan::choose_algorithm(t8, CollKind::allreduce, (4u << 10) + 1, opts),
-      Algorithm::dpml_two_level);
-  EXPECT_EQ(
       plan::choose_algorithm(t8, CollKind::broadcast, (4u << 10) + 1, opts),
       Algorithm::pipelined);
-  EXPECT_EQ(plan::choose_algorithm(t8, CollKind::reduce_scatter, 64, opts),
-            Algorithm::dpml_two_level);
   EXPECT_EQ(plan::choose_algorithm(t8, CollKind::allgather, 64, opts),
             Algorithm::pipelined);
-  // Single-socket and ragged topologies fall back to flat MA above the
-  // threshold.
-  const rt::Topology flat(6, 1), ragged(7, 2);
+  // Two sockets of four: socket-MA's 3 hand-offs and 3 barriers per round
+  // undercut DPML's 4 barriers at every size, so DPML never serves.
   EXPECT_EQ(
-      plan::choose_algorithm(flat, CollKind::allreduce, 1u << 20, opts),
+      plan::choose_algorithm(t8, CollKind::allreduce, (4u << 10) + 1, opts),
+      Algorithm::ma_socket_aware);
+  EXPECT_EQ(plan::choose_algorithm(t8, CollKind::reduce_scatter, 64, opts),
+            Algorithm::ma_socket_aware);
+  // Single-socket and ragged topologies fall back to flat MA above the
+  // DPML band.
+  const rt::Topology flat6(6, 1), ragged(7, 2);
+  EXPECT_EQ(
+      plan::choose_algorithm(flat6, CollKind::allreduce, 1u << 20, opts),
       Algorithm::ma_flat);
   EXPECT_EQ(
       plan::choose_algorithm(ragged, CollKind::allreduce, 1u << 20, opts),
       Algorithm::ma_flat);
+}
+
+// The switch points the cost model derives sit where osu_microbench
+// measured the arms cross on the 4-vCPU reference host (pinned ranks, one
+// socket, medians of 10 runs; CHANGES.md), within one power-of-two bucket.
+TEST(PlanPrior, DerivedSwitchPointsMatchTheMeasuredCrossovers) {
+  const CollOpts opts;
+  const auto sp = [&](CollKind k, int p, int m) {
+    return plan::switch_points(k, p, m, opts);
+  };
+  // p = 2: the slot arm keeps every size it fits (it beat DPML and MA up
+  // to 8 KB; at its 16 KB capacity MA was 6 % faster, one bucket off), and
+  // MA beats DPML from 1 KB on.
+  for (const auto kind :
+       {CollKind::allreduce, CollKind::reduce, CollKind::broadcast})
+    EXPECT_EQ(sp(kind, 2, 1).slot_max, rt::slot_capacity(2))
+        << coll::coll_kind_name(kind);
+  EXPECT_LT(sp(CollKind::allreduce, 2, 1).dpml_max, std::size_t{1} << 10);
+  EXPECT_LT(sp(CollKind::reduce_scatter, 2, 1).dpml_max,
+            std::size_t{1} << 10);
+  // p = 4: slot allreduce won at 4 KB and lost to MA at 8 KB; DPML beat
+  // MA at 1-2 KB, tied at 4 KB and lost from 8 KB on.
+  const auto ar4 = sp(CollKind::allreduce, 4, 1);
+  EXPECT_GT(ar4.slot_max, std::size_t{4} << 10);
+  EXPECT_LT(ar4.slot_max, std::size_t{8} << 10);
+  EXPECT_GE(ar4.dpml_max, std::size_t{2} << 10);
+  EXPECT_LT(ar4.dpml_max, std::size_t{8} << 10);
+  EXPECT_GE(sp(CollKind::reduce_scatter, 4, 1).dpml_max, std::size_t{2} << 10);
+  EXPECT_LT(sp(CollKind::reduce_scatter, 4, 1).dpml_max, std::size_t{8} << 10);
+  // slot reduce and broadcast won at every size they fit.
+  EXPECT_EQ(sp(CollKind::reduce, 4, 1).slot_max, rt::slot_capacity(4));
+  EXPECT_EQ(sp(CollKind::broadcast, 4, 1).slot_max, rt::slot_capacity(4));
+  // NodeA's shape (p = 64, m = 2): DPML keeps the small-message band the
+  // paper gives it (§5.1: s <= 256 KB), within a factor of 4.
+  for (const auto kind : {CollKind::allreduce, CollKind::reduce}) {
+    const std::size_t x = sp(kind, 64, 2).dpml_max;
+    EXPECT_GE(x, std::size_t{64} << 10) << coll::coll_kind_name(kind);
+    EXPECT_LE(x, std::size_t{1} << 20) << coll::coll_kind_name(kind);
+  }
+  // Pure and memoized: repeated queries agree.
+  EXPECT_EQ(sp(CollKind::allreduce, 64, 2).dpml_max,
+            sp(CollKind::allreduce, 64, 2).dpml_max);
 }
 
 TEST(PlanPrior, NtAdvisoryMatchesPaperSwitchPoint) {
@@ -272,7 +321,7 @@ TEST(PlanCache, QueryServesPriorUntilACommitExists) {
   EXPECT_EQ(tiny.source, plan::PlanSource::prior);
   const auto small = plan::query(team, CollKind::allreduce, 16u << 10,
                                  Datatype::f64, ReduceOp::sum, opts);
-  EXPECT_EQ(small.algorithm, Algorithm::dpml_two_level);
+  EXPECT_EQ(small.algorithm, Algorithm::ma_socket_aware);
   EXPECT_EQ(small.source, plan::PlanSource::prior);
   const auto large = plan::query(team, CollKind::allreduce, 4u << 20,
                                  Datatype::f64, ReduceOp::sum, opts);
@@ -396,7 +445,7 @@ TEST(PlanSlot, ArmTablesAndLoadedPlansStayInsideTheSlotBand) {
     e.set("ranks", 4);
     e.set("sockets", 2);
     e.set("bucket", static_cast<int>(plan::bucket_of(CollKind::allreduce,
-                                                     bytes, 4, opts)));
+                                                     bytes, 4, 2, opts)));
     e.set("slice_max", 0);
     e.set("dpml_chunk", 0);
     e.set("arm", 0);
@@ -413,7 +462,7 @@ TEST(PlanSlot, ArmTablesAndLoadedPlansStayInsideTheSlotBand) {
   EXPECT_EQ(in_band.source, plan::PlanSource::bench);
   const auto above = plan::query(team, CollKind::allreduce, cap + 1,
                                  Datatype::f64, ReduceOp::sum);
-  EXPECT_EQ(above.algorithm, Algorithm::dpml_two_level);
+  EXPECT_EQ(above.algorithm, Algorithm::ma_socket_aware);
   EXPECT_EQ(above.source, plan::PlanSource::prior);
 }
 
