@@ -3,7 +3,7 @@
 // 65536:268435456`), reimplemented over YHCCL teams.
 //
 //   $ ./examples/osu_microbench <collective> [-n ranks] [-s sockets]
-//        [-m min:max] [-i iters] [-c] [-a algorithm]
+//        [-m min:max] [-i iters] [-c] [-a algorithm] [-P policy]
 //
 //   collective: allreduce | reduce | reduce_scatter | bcast | allgather
 //               | alltoall
@@ -11,6 +11,7 @@
 //   -i iters    timed calls per size (default: 2000 up to 64 KB, 50 above)
 //   -c          validate allreduce / reduce / bcast results element-wise
 //   -a          auto | slot | ma | socket-ma | dpml-2l | pipelined
+//   -P          adaptive | t-copy | nt-copy | memmove (CollOpts::policy)
 //
 // Like OSU, every size runs inside one Team::run: a warm-up, a barrier,
 // then `iters` back-to-back calls, so rank wake-up is not part of the
@@ -20,7 +21,10 @@
 // over the ranks and its min/max across ranks, then the average in units
 // of one node barrier measured the same way in the same run, then the
 // cost model's prediction (us) for the arm that ran (for `-a auto`, the
-// arm the prior picked, named in the last column).
+// arm the prior picked, named in the last column).  A `# cache:` header
+// line gives the detected c' and c'', the LLC probe's temporal and
+// streaming GB/s with its verdict, and the capacity C the adaptive policy
+// compares each working set with at this p.
 #include <sched.h>
 #include <unistd.h>
 
@@ -50,6 +54,7 @@ struct Args {
   int iters = 0;  ///< 0: by size
   bool check = false;
   coll::Algorithm algo = coll::Algorithm::automatic;
+  copy::CopyPolicy policy = copy::CopyPolicy::adaptive;
 };
 
 Args parse(int argc, char** argv) {
@@ -79,6 +84,12 @@ Args parse(int argc, char** argv) {
             coll::Algorithm::ma_flat, coll::Algorithm::ma_socket_aware,
             coll::Algorithm::dpml_two_level, coll::Algorithm::pipelined})
         if (v == coll::algorithm_name(alg)) a.algo = alg;
+    } else if (s == "-P") {
+      const std::string v = next();
+      for (const auto pol :
+           {copy::CopyPolicy::adaptive, copy::CopyPolicy::always_temporal,
+            copy::CopyPolicy::always_nt, copy::CopyPolicy::memmove_model})
+        if (v == copy::policy_name(pol)) a.policy = pol;
     }
   }
   return a;
@@ -134,9 +145,20 @@ int main(int argc, char** argv) {
   const int p = a.ranks;
   const std::string& c = a.collective;
 
-  std::printf("# YHCCL OSU-style %s benchmark (p=%d, m=%d, algo=%s%s)\n",
-              c.c_str(), p, cfg.nsockets, coll::algorithm_name(a.algo),
-              a.check ? ", -c" : "");
+  std::printf(
+      "# YHCCL OSU-style %s benchmark (p=%d, m=%d, algo=%s, policy=%s%s)\n",
+      c.c_str(), p, cfg.nsockets, coll::algorithm_name(a.algo),
+      copy::policy_name(a.policy), a.check ? ", -c" : "");
+  const copy::LlcProbe& probe = copy::llc_probe();
+  std::printf("# cache: c'=%zu KB, c''=%zu KB; LLC probe over %zu KB: "
+              "t-copy %.2f GB/s, nt-copy %.2f GB/s -> LLC %s; C(p=%d) = "
+              "%zu KB\n",
+              cfg.cache.llc_bytes >> 10, cfg.cache.l2_per_core >> 10,
+              probe.bytes >> 10, probe.t_gbs, probe.nt_gbs,
+              !probe.ran          ? "counts (not probed)"
+              : probe.llc_counts ? "counts"
+                                 : "does not count",
+              p, cfg.cache.available(p) >> 10);
   // The cost model's sync constants, probed on this team: one node barrier,
   // and one flag hand-off while every rank posts a step and then waits for
   // its left neighbour's (an MA round's pattern).
@@ -170,6 +192,7 @@ int main(int argc, char** argv) {
         c == "allgather" || c == "alltoall" ? count * p : count;
     coll::CollOpts opts;
     opts.algorithm = a.algo;
+    opts.policy = a.policy;
     std::vector<std::vector<double>> send(p), recv(p);
     for (int r = 0; r < p; ++r) {
       send[r].assign(count, 1.0 + r);

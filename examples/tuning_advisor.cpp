@@ -31,7 +31,20 @@ int main(int argc, char** argv) {
 
   std::printf("node: p=%d ranks, m=%d sockets, cache %s\n", p, m,
               cache.describe().c_str());
-  std::printf("available cache C = c' + p*c'' = %.1f MB\n\n",
+  if (std::strcmp(preset, "detect") == 0) {
+    const copy::LlcProbe& probe = copy::llc_probe();
+    if (probe.ran)
+      std::printf("LLC probe over %zu KB: t-copy %.2f GB/s, nt-copy %.2f "
+                  "GB/s (%.1f ms) -> the LLC %s\n",
+                  probe.bytes >> 10, probe.t_gbs, probe.nt_gbs, probe.ms,
+                  probe.llc_counts ? "counts" : "does not count");
+    else
+      std::printf("LLC probe not run -> the LLC counts\n");
+  }
+  std::printf("available cache C = %s = %.1f MB\n\n",
+              !cache.llc_counts    ? "p*c''"
+              : cache.llc_inclusive ? "c'"
+                                    : "c' + p*c''",
               cache.available(p) / 1e6);
 
   std::printf("all-reduce DAV (bytes moved per message byte):\n");

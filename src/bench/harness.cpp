@@ -96,6 +96,7 @@ MachineInfo MachineInfo::detect() {
   m.llc_bytes = c.llc_bytes;
   m.l2_per_core = c.l2_per_core;
   m.llc_inclusive = c.llc_inclusive;
+  m.llc_counts = c.llc_counts;
   m.cache = c.describe();
   return m;
 }
@@ -108,6 +109,7 @@ Json MachineInfo::to_json() const {
   j.set("llc_bytes", llc_bytes);
   j.set("l2_per_core", l2_per_core);
   j.set("llc_inclusive", llc_inclusive);
+  j.set("llc_counts", llc_counts);
   j.set("cache", cache);
   return j;
 }

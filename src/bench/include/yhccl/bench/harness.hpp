@@ -59,6 +59,7 @@ struct MachineInfo {
   std::uint64_t llc_bytes = 0;
   std::uint64_t l2_per_core = 0;
   bool llc_inclusive = false;
+  bool llc_counts = true;  ///< the LLC probe's verdict (cache_model.hpp)
   std::string cache;  ///< CacheConfig::describe()
 
   static MachineInfo detect();

@@ -234,6 +234,7 @@ Json save_plans(const rt::Team& team) {
   machine.set("llc_bytes", cache.llc_bytes);
   machine.set("l2_per_core", cache.l2_per_core);
   machine.set("llc_inclusive", cache.llc_inclusive);
+  machine.set("llc_counts", cache.llc_counts);
   doc.set("machine", std::move(machine));
 
   Json arr = Json::array();
@@ -361,6 +362,9 @@ Json warm_from_bench(const Json& report) {
     cache.llc_bytes = machine["llc_bytes"].as_uint();
     cache.l2_per_core = machine["l2_per_core"].as_uint();
     cache.llc_inclusive = machine["llc_inclusive"].as_bool();
+    // Reports from before the LLC probe were measured under the paper's C.
+    if (machine["llc_counts"].is_bool())
+      cache.llc_counts = machine["llc_counts"].as_bool();
   }
 
   // Best measured arm per (collective, shape, bucket); keys are the packed
@@ -400,6 +404,7 @@ Json warm_from_bench(const Json& report) {
   m.set("llc_bytes", cache.llc_bytes);
   m.set("l2_per_core", cache.l2_per_core);
   m.set("llc_inclusive", cache.llc_inclusive);
+  m.set("llc_counts", cache.llc_counts);
   doc.set("machine", std::move(m));
   Json arr = Json::array();
   for (const auto& [fields, b] : best) {

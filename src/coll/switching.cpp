@@ -25,6 +25,23 @@ Algorithm choose_reduction_algorithm(const RankCtx& ctx,
 
 namespace {
 
+[[noreturn, gnu::cold, gnu::noinline]] void raise_byte_overflow(
+    std::size_t count, std::size_t factor) {
+  raise("count " + std::to_string(count) + " × " + std::to_string(factor) +
+        " bytes overflows size_t");
+}
+
+/// count × dtype size × n in bytes, checked before any shared state is
+/// touched.  dtype size × n ≤ 8 · kMaxRanks, so only the product with
+/// count can overflow.
+std::size_t checked_bytes(std::size_t count, Datatype d, int n = 1) {
+  const std::size_t factor = dtype_size(d) * static_cast<std::size_t>(n);
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(count, factor, &bytes)) [[unlikely]]
+    raise_byte_overflow(count, factor);
+  return bytes;
+}
+
 /// Decision for one call: the tuned plan when the tuner is active, the
 /// static rule otherwise (tuner off / explicit arm).
 Algorithm algorithm_for(const plan::TunedCall& tc, RankCtx& ctx, CollKind kind,
@@ -46,8 +63,7 @@ void reduce_scatter(RankCtx& ctx, const void* send, void* recv,
                     std::size_t count, Datatype d, ReduceOp op,
                     const CollOpts& opts) {
   // §5.1 sizes reduce-scatter by its total input vector.
-  const std::size_t total =
-      count * dtype_size(d) * static_cast<std::size_t>(ctx.nranks());
+  const std::size_t total = checked_bytes(count, d, ctx.nranks());
   plan::TunedCall tc(ctx, CollKind::reduce_scatter, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
   const Algorithm a =
@@ -71,7 +87,7 @@ void reduce_scatter(RankCtx& ctx, const void* send, void* recv,
 
 void allreduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, ReduceOp op, const CollOpts& opts) {
-  const std::size_t total = count * dtype_size(d);
+  const std::size_t total = checked_bytes(count, d);
   detail::check_overlap(send, recv, total);
   plan::TunedCall tc(ctx, CollKind::allreduce, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
@@ -98,7 +114,7 @@ void allreduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
 void reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
             Datatype d, ReduceOp op, int root, const CollOpts& opts) {
   detail::check_root(ctx, root);
-  const std::size_t total = count * dtype_size(d);
+  const std::size_t total = checked_bytes(count, d);
   detail::check_overlap(send, recv, total);
   plan::TunedCall tc(ctx, CollKind::reduce, total, d, op, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
@@ -131,7 +147,7 @@ void reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
 void broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
                int root, const CollOpts& opts) {
   detail::check_root(ctx, root);
-  const std::size_t total = count * dtype_size(d);
+  const std::size_t total = checked_bytes(count, d);
   plan::TunedCall tc(ctx, CollKind::broadcast, total, d, ReduceOp::sum, opts);
   const CollOpts& o = tc.active() ? tc.opts() : opts;
   const Algorithm a =
@@ -150,10 +166,10 @@ void broadcast(RankCtx& ctx, void* buf, std::size_t count, Datatype d,
 
 void allgather(RankCtx& ctx, const void* send, void* recv, std::size_t count,
                Datatype d, const CollOpts& opts) {
-  plan::TunedCall tc(ctx, CollKind::allgather, count * dtype_size(d), d,
-                     ReduceOp::sum, opts);
-  metrics::CollSample ms(1 + static_cast<int>(CollKind::allgather),
-                         count * dtype_size(d));
+  checked_bytes(count, d, ctx.nranks());  // the receive buffer's p blocks
+  const std::size_t block = count * dtype_size(d);
+  plan::TunedCall tc(ctx, CollKind::allgather, block, d, ReduceOp::sum, opts);
+  metrics::CollSample ms(1 + static_cast<int>(CollKind::allgather), block);
   ms.set_alg(1 + static_cast<int>(Algorithm::pipelined));
   pipelined_allgather(ctx, send, recv, count, d,
                       tc.active() ? tc.opts() : opts);

@@ -4,6 +4,13 @@
 // collective running on p cores.  On a non-inclusive last-level cache the
 // usable capacity is C = c' + p * c'' (LLC plus the per-core second-last
 // level), on an inclusive LLC it is just C = c'.
+//
+// The rule assumes the collective can use the LLC.  A guest VM can be shown
+// the host socket's LLC through sysfs and cpuid and yet not get it, so
+// detect() measures before it believes: c' counts only when a one-time probe
+// finds temporal stores over a working set outside the private cache but
+// inside the reported LLC clearly faster than streaming ones.  Otherwise
+// C = p * c'' (llc_counts == false).
 #pragma once
 
 #include <cstddef>
@@ -16,13 +23,18 @@ struct CacheConfig {
   std::size_t l2_per_core = 512u << 10;  ///< c'': second-last level, per core
   bool llc_inclusive = false;            ///< inclusive LLC? (then C = c')
   std::size_t cacheline = 64;
+  /// Does c' count toward C?  false when the LLC probe found temporal
+  /// stores no faster than streaming ones (see llc_probe()).
+  bool llc_counts = true;
 
   /// Capacity available to a collective using `p` cores: the paper's
-  /// C = c' + p*c'' (non-inclusive) or C = c' (inclusive).
+  /// C = c' + p*c'' (non-inclusive) or C = c' (inclusive); p*c'' when the
+  /// LLC does not count.
   std::size_t available(int p) const noexcept {
-    return llc_inclusive
-               ? llc_bytes
-               : llc_bytes + static_cast<std::size_t>(p) * l2_per_core;
+    const std::size_t private_bytes =
+        static_cast<std::size_t>(p) * l2_per_core;
+    if (!llc_counts) return private_bytes;
+    return llc_inclusive ? llc_bytes : llc_bytes + private_bytes;
   }
 
   // --- Presets for the paper's three evaluation platforms -----------------
@@ -49,11 +61,45 @@ struct CacheConfig {
             .llc_inclusive = true};
   }
 
-  /// Best-effort detection from /sys; falls back to a small generic
-  /// configuration when sysfs is unavailable (e.g. in containers).
+  /// Best-effort detection from /sys (falling back to a small generic
+  /// configuration when sysfs is unavailable, e.g. in containers), with
+  /// llc_counts set by llc_probe().  Computed once per process.
   static CacheConfig detect();
 
   std::string describe() const;
 };
+
+/// A temporal copy must beat a streaming one by this factor over the probe's
+/// working set for the LLC to count.
+inline constexpr double kLlcProbeMinGain = 1.25;
+
+/// The probe's two buffers together never exceed this.
+inline constexpr std::size_t kLlcProbeMaxBytes = 16u << 20;
+
+/// The one-time measurement behind CacheConfig::detect().llc_counts: the
+/// best of 3 temporal copies against the best of 3 streaming copies between
+/// two buffers of 2*c'' each (W = 4*c'', outside the private cache, inside
+/// the reported LLC), through the raw kernel table of the CPU's best ISA
+/// tier, so no DAV, kernel-call or happens-before counter moves.
+struct LlcProbe {
+  bool ran = false;          ///< false: skipped (see probe_llc)
+  std::size_t bytes = 0;     ///< W, both buffers together
+  double t_gbs = 0;          ///< temporal copy, GB/s of payload
+  double nt_gbs = 0;         ///< streaming copy, GB/s of payload
+  double ms = 0;             ///< wall time of the probe, buffers included
+  bool llc_counts = true;    ///< !ran || t_gbs >= kLlcProbeMinGain * nt_gbs
+};
+
+/// Run one probe now for cfg's c' and c''.  It skips (ran == false, the
+/// LLC counts) when the CPU has no streaming stores, W exceeds c' or
+/// kLlcProbeMaxBytes, or the buffers cannot be mapped.
+LlcProbe probe_llc(const CacheConfig& cfg);
+
+/// The probe of this process's detect(), run on first use.
+const LlcProbe& llc_probe();
+
+/// How many times this process has called probe_llc(); detect() adds one,
+/// on its first call only.
+int llc_probe_runs() noexcept;
 
 }  // namespace yhccl::copy

@@ -59,8 +59,9 @@ constexpr std::uint64_t plan_mix64(std::uint64_t x) noexcept {
 }
 
 /// Machine/topology identity a plan is valid for: ranks, socket layout and
-/// the cache-capacity model (§4.2) the NT prior depends on.  Persisted
-/// plans are only loaded into teams with a matching signature.
+/// the cache-capacity model (§4.2) the NT prior depends on, including the
+/// LLC probe's verdict.  Persisted plans are only loaded into teams with a
+/// matching signature.
 std::uint64_t plan_signature(const Topology& topo,
                              const copy::CacheConfig& cache) noexcept;
 

@@ -52,6 +52,7 @@ std::uint64_t plan_signature(const Topology& topo,
   fold(cache.llc_bytes);
   fold(cache.l2_per_core);
   fold(cache.llc_inclusive ? 1 : 0);
+  fold(cache.llc_counts ? 1 : 0);
   return h != 0 ? h : 1;
 }
 

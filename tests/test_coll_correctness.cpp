@@ -4,6 +4,7 @@
 // compared against a sequential reference reduction.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -440,6 +441,53 @@ TEST(CollEdge, ExplicitRootedArmsRejectOutOfRangeRoot) {
               Datatype::f64, ReduceOp::sum, 3);
   });
   for (double x : b[3]) EXPECT_EQ(x, 4.0);
+}
+
+TEST(CollEdge, ByteCountOverflowRaisesBeforeTouchingSharedState) {
+  auto& team = cached_team(4, 2);
+  // count × 8 overflows for the rooted and all-reduce kinds; count × 8
+  // fits but × p = 4 does not for reduce_scatter's total and allgather's
+  // receive size.  The buffers are never read.
+  const std::size_t huge = SIZE_MAX / 4;
+  const std::size_t wide = SIZE_MAX / 16;
+  std::vector<std::vector<double>> a(4, std::vector<double>(8, 1.0)),
+      b(4, std::vector<double>(32));
+  const auto raises = [&](const char* what, auto&& call) {
+    std::string msg = "no error";
+    try {
+      team.run([&](RankCtx& ctx) {
+        call(ctx, a[ctx.rank()].data(), b[ctx.rank()].data());
+      });
+    } catch (const Error& e) {
+      msg = e.what();
+    }
+    EXPECT_NE(msg.find("overflows size_t"), std::string::npos)
+        << what << ": " << msg;
+  };
+  raises("allreduce", [&](RankCtx& ctx, double* s, double* r) {
+    allreduce(ctx, s, r, huge, Datatype::f64, ReduceOp::sum);
+  });
+  raises("reduce", [&](RankCtx& ctx, double* s, double* r) {
+    reduce(ctx, s, r, huge, Datatype::f64, ReduceOp::sum, 0);
+  });
+  raises("broadcast", [&](RankCtx& ctx, double* s, double*) {
+    broadcast(ctx, s, huge, Datatype::f64, 0);
+  });
+  raises("reduce_scatter", [&](RankCtx& ctx, double* s, double* r) {
+    reduce_scatter(ctx, s, r, wide, Datatype::f64, ReduceOp::sum);
+  });
+  raises("allgather", [&](RankCtx& ctx, double* s, double* r) {
+    allgather(ctx, s, r, wide, Datatype::f64);
+  });
+  // No rank got as far as a protocol step: the team runs on, unrecovered.
+  team.run([&](RankCtx& ctx) {
+    allreduce(ctx, a[ctx.rank()].data(), b[ctx.rank()].data(), 8,
+              Datatype::f64, ReduceOp::sum);
+    allgather(ctx, a[ctx.rank()].data(), b[ctx.rank()].data(), 8,
+              Datatype::f64);
+  });
+  for (int r = 0; r < 4; ++r)
+    for (double x : b[r]) EXPECT_EQ(x, 1.0) << "rank " << r;
 }
 
 TEST(CollEdge, PartialSendRecvOverlapRaises) {

@@ -6,7 +6,9 @@
 // class the shared-memory design must avoid).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "yhccl/baselines/baselines.hpp"
@@ -256,6 +258,53 @@ TEST(ProcessColl, ExplicitRootedArmsAndPartialOverlapRaise) {
     double v = 1;
     coll::allreduce(ctx, &v, &v, 1, Datatype::f64, ReduceOp::sum);
     out[ctx.rank()] = v;
+  });
+  for (int r = 0; r < 4; ++r) EXPECT_EQ(out[r], 4.0) << "rank " << r;
+}
+
+TEST(ProcessColl, ByteCountOverflowRaises) {
+  auto& team = process_team(4, 2);
+  // count × 8 overflows, or count × 8 × p does for reduce_scatter's total
+  // and allgather's receive size; the buffers are never read.
+  const std::size_t huge = SIZE_MAX / 4;
+  const std::size_t wide = SIZE_MAX / 16;
+  double x[4] = {1, 1, 1, 1}, y[4] = {0, 0, 0, 0};
+  // Forked ranks report their own error: each catches it and records
+  // whether it is the overflow check's.
+  auto* hit = reinterpret_cast<int*>(team.shared_alloc(4 * sizeof(int)));
+  const auto raises = [&](const char* what, auto&& call) {
+    team.run([&](rt::RankCtx& ctx) {
+      hit[ctx.rank()] = 0;
+      try {
+        call(ctx);
+      } catch (const Error& e) {
+        hit[ctx.rank()] =
+            std::string(e.what()).find("overflows size_t") != std::string::npos;
+      }
+    });
+    for (int r = 0; r < 4; ++r) EXPECT_EQ(hit[r], 1) << what << " rank " << r;
+  };
+  raises("allreduce", [&](rt::RankCtx& ctx) {
+    coll::allreduce(ctx, x, y, huge, Datatype::f64, ReduceOp::sum);
+  });
+  raises("reduce", [&](rt::RankCtx& ctx) {
+    coll::reduce(ctx, x, y, huge, Datatype::f64, ReduceOp::sum, 0);
+  });
+  raises("broadcast", [&](rt::RankCtx& ctx) {
+    coll::broadcast(ctx, x, huge, Datatype::f64, 0);
+  });
+  raises("reduce_scatter", [&](rt::RankCtx& ctx) {
+    coll::reduce_scatter(ctx, x, y, wide, Datatype::f64, ReduceOp::sum);
+  });
+  raises("allgather", [&](rt::RankCtx& ctx) {
+    coll::allgather(ctx, x, y, wide, Datatype::f64);
+  });
+  // No rank got as far as a protocol step: the team runs on, unrecovered.
+  auto* out = reinterpret_cast<double*>(team.shared_alloc(4 * sizeof(double)));
+  team.run([&](rt::RankCtx& ctx) {
+    double v = 1, g[4] = {};
+    coll::allgather(ctx, &v, g, 1, Datatype::f64);
+    out[ctx.rank()] = g[0] + g[1] + g[2] + g[3];
   });
   for (int r = 0; r < 4; ++r) EXPECT_EQ(out[r], 4.0) << "rank " << r;
 }

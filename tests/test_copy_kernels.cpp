@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "yhccl/copy/dav.hpp"
+#include "yhccl/copy/isa.hpp"
 #include "yhccl/copy/kernels.hpp"
 #include "yhccl/copy/policy.hpp"
 
@@ -144,6 +145,25 @@ TEST(CacheModel, AvailableCapacityFollowsInclusivity) {
   EXPECT_EQ(incl.available(8), 64u << 20);
 }
 
+TEST(CacheModel, UncountedLlcLeavesThePrivateLevels) {
+  yc::CacheConfig nonincl{.llc_bytes = 300u << 20,
+                          .l2_per_core = 2u << 20,
+                          .llc_inclusive = false};
+  nonincl.llc_counts = false;
+  yc::CacheConfig incl = nonincl;
+  incl.llc_inclusive = true;
+  for (const int p : {1, 2, 4, 64}) {
+    EXPECT_EQ(nonincl.available(p), static_cast<std::size_t>(p) * (2u << 20));
+    EXPECT_EQ(incl.available(p), static_cast<std::size_t>(p) * (2u << 20));
+  }
+}
+
+TEST(CacheModel, PaperPresetsCountTheLlc) {
+  for (const auto& c : {yc::CacheConfig::node_a(), yc::CacheConfig::node_b(),
+                        yc::CacheConfig::cluster_c()})
+    EXPECT_TRUE(c.llc_counts) << c.describe();
+}
+
 TEST(CacheModel, PaperPresetsMatchSection54) {
   // §5.4: C = 294912 KB on NodeA (p=64) and 116736 KB on NodeB (p=48).
   EXPECT_EQ(yc::CacheConfig::node_a().available(64), 294912ull << 10);
@@ -155,6 +175,55 @@ TEST(CacheModel, DetectReturnsSaneValues) {
   EXPECT_GE(c.llc_bytes, 1u << 20);
   EXPECT_GE(c.l2_per_core, 16u << 10);
   EXPECT_EQ(c.cacheline, 64u);
+}
+
+TEST(CacheModel, DetectIsMemoizedAndProbesOnce) {
+  const auto a = yc::CacheConfig::detect();
+  const int runs = yc::llc_probe_runs();
+  EXPECT_GE(runs, 1);
+  for (int i = 0; i < 5; ++i) {
+    const auto b = yc::CacheConfig::detect();
+    EXPECT_EQ(b.llc_bytes, a.llc_bytes);
+    EXPECT_EQ(b.l2_per_core, a.l2_per_core);
+    EXPECT_EQ(b.llc_inclusive, a.llc_inclusive);
+    EXPECT_EQ(b.llc_counts, a.llc_counts);
+  }
+  EXPECT_EQ(yc::llc_probe_runs(), runs);
+  // The verdict is the probe's: temporal stores must clearly win.
+  const yc::LlcProbe& p = yc::llc_probe();
+  EXPECT_EQ(a.llc_counts, p.llc_counts);
+  if (p.ran) {
+    EXPECT_EQ(p.bytes, 4 * a.l2_per_core);
+    EXPECT_LE(p.bytes, yc::kLlcProbeMaxBytes);
+    EXPECT_GT(p.nt_gbs, 0);
+    EXPECT_EQ(p.llc_counts, p.t_gbs >= yc::kLlcProbeMinGain * p.nt_gbs);
+  } else {
+    EXPECT_TRUE(p.llc_counts);
+  }
+}
+
+TEST(CacheModel, ProbeMovesNoCounter) {
+  const auto c = yc::CacheConfig::detect();
+  yc::DavScope dav;
+  yc::KernelCountScope kernels;
+  const yc::LlcProbe p = yc::probe_llc(c);
+  EXPECT_EQ(dav.delta().total(), 0u);
+  EXPECT_EQ(kernels.delta().total(), 0u);
+  if (p.ran) EXPECT_GT(p.t_gbs, 0);
+}
+
+TEST(CacheModel, ProbeSkipsWorkingSetsItCannotPlace) {
+  // W = 4 c'' above the memory cap, or above the LLC itself: no measurement,
+  // the paper's C stands.
+  const int before = yc::llc_probe_runs();
+  for (const auto& c :
+       {yc::CacheConfig{.llc_bytes = 256u << 20, .l2_per_core = 8u << 20},
+        yc::CacheConfig{.llc_bytes = 2u << 20, .l2_per_core = 1u << 20}}) {
+    const yc::LlcProbe p = yc::probe_llc(c);
+    EXPECT_FALSE(p.ran);
+    EXPECT_TRUE(p.llc_counts);
+  }
+  EXPECT_EQ(yc::llc_probe_runs(), before + 2);
 }
 
 TEST(Dav, ScopeDeltaIsolatesMeasurement) {

@@ -225,6 +225,47 @@ TEST(PlanPrior, DerivedSwitchPointsMatchTheMeasuredCrossovers) {
             sp(CollKind::allreduce, 64, 2).dpml_max);
 }
 
+TEST(PlanPrior, NtAdvisoryFlipsAtPrivateCapacityWhenTheLlcDoesNotCount) {
+  // A guest shown a 300 MB LLC it cannot use: at p = 2 the allreduce work
+  // set W = 2sp + mpI crosses C = p·c'' = 4 MB, not c' + p·c''.
+  copy::CacheConfig cache{.llc_bytes = 300u << 20,
+                          .l2_per_core = 2u << 20,
+                          .llc_inclusive = false};
+  cache.llc_counts = false;
+  const int p = 2, m = 1;
+  const std::size_t imax = CollOpts{}.slice_max;
+  ASSERT_EQ(cache.available(p), std::size_t{4} << 20);
+  const std::size_t sstar =
+      model::nt_switch_point_allreduce(cache.available(p), p, m, imax);
+  ASSERT_GT(sstar, 0u);
+  EXPECT_LE(2 * sstar * p + m * p * imax, cache.available(p));
+  EXPECT_GT(2 * (sstar + 1) * p + m * p * imax, cache.available(p));
+  EXPECT_FALSE(plan::prior_nt(CollKind::allreduce, sstar, p, m, cache, imax));
+  EXPECT_TRUE(
+      plan::prior_nt(CollKind::allreduce, sstar + 1, p, m, cache, imax));
+  // Counting the LLC keeps the same size temporal.
+  copy::CacheConfig counted = cache;
+  counted.llc_counts = true;
+  EXPECT_FALSE(
+      plan::prior_nt(CollKind::allreduce, sstar + 1, p, m, counted, imax));
+}
+
+TEST(PlanPrior, SignatureSeparatesTheLlcVerdicts) {
+  const rt::Topology topo(2, 1);
+  copy::CacheConfig counted = copy::CacheConfig::detect();
+  counted.llc_counts = true;
+  copy::CacheConfig uncounted = counted;
+  uncounted.llc_counts = false;
+  EXPECT_NE(rt::plan_signature(topo, counted),
+            rt::plan_signature(topo, uncounted));
+  rt::TeamConfig cfg;
+  cfg.nranks = 2;
+  cfg.nsockets = 1;
+  cfg.cache = uncounted;
+  rt::ThreadTeam team(cfg);
+  EXPECT_EQ(team.plan_signature(), rt::plan_signature(topo, uncounted));
+}
+
 TEST(PlanPrior, NtAdvisoryMatchesPaperSwitchPoint) {
   // §5.4: the allreduce work set crosses the cache capacity exactly at
   // model::nt_switch_point_allreduce.
@@ -557,6 +598,7 @@ bench::Json fake_bench_report(int ranks, int sockets,
   machine.set("llc_bytes", cache.llc_bytes);
   machine.set("l2_per_core", cache.l2_per_core);
   machine.set("llc_inclusive", cache.llc_inclusive);
+  machine.set("llc_counts", cache.llc_counts);
   doc.set("machine", machine);
   bench::Json series = bench::Json::array();
   const auto cell = [&](const char* alg, std::size_t bytes, double median) {
