@@ -4,6 +4,7 @@
 #include "bench_util.hpp"
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/op_counts.hpp"
 #include "yhccl/model/dav_model.hpp"
 
 using namespace yhccl;
@@ -45,7 +46,8 @@ int main() {
 
   // Measured-vs-model cross-check on this host: every deterministic
   // counter (DAV, kernel dispatches, barrier/flag ops) must match the
-  // operation-count simulator exactly, not just the closed-form bytes.
+  // op counts derived from the schedule exactly, not just the closed-form
+  // bytes.
   auto& team = bench_team(p, m);
   const std::size_t count = 8192;  // per-rank f64 block
   const std::size_t total = count * 8 * static_cast<std::size_t>(p);
@@ -60,11 +62,9 @@ int main() {
                                        ReduceOp::sum, o);
       },
       total);
-  md::impl::OpGeometry g;
-  g.p = p;
-  g.m = m;
-  g.slice_max = o.slice_max;
-  const auto want = md::impl::socket_ma_reduce_scatter_ops(total, g);
+  const auto want =
+      coll::op_counts(coll::CollKind::reduce_scatter,
+                      coll::Algorithm::ma_socket_aware, total, p, m, o);
   const bool ok = s.counters.dav.loads == want.loads &&
                   s.counters.dav.stores == want.stores &&
                   s.counters.kernels.total() == want.kernel_calls &&

@@ -71,6 +71,15 @@ struct BlockSlicing {
                       opts);
   }
 
+  /// A reduction's slicing over p blocks: `bytes` is the per-rank block of
+  /// reduce-scatter, the whole message otherwise.
+  static BlockSlicing of(CollKind k, std::size_t bytes, int p,
+                         const CollOpts& opts) {
+    return k == CollKind::reduce_scatter
+               ? with_block(bytes * static_cast<std::size_t>(p), bytes, opts)
+               : partitioned(bytes, p, opts);
+  }
+
   /// Actual bytes of block `l` (ragged tail aware).
   std::size_t block_len(std::size_t l) const noexcept {
     const std::size_t start = l * block;
@@ -114,6 +123,15 @@ struct WorkSet {
   static std::size_t allgather(std::size_t s, int p, std::size_t I) {
     const auto pp = static_cast<std::size_t>(p);
     return s * pp + s * pp * pp + 2 * pp * I;
+  }
+  /// The reduction formula of collective `k` (m unused by reduce-scatter).
+  static std::size_t of(CollKind k, std::size_t s, int p, int m,
+                        std::size_t I) {
+    switch (k) {
+      case CollKind::reduce_scatter: return reduce_scatter(s, p, I);
+      case CollKind::allreduce: return allreduce(s, p, m, I);
+      default: return reduce(s, p, m, I);
+    }
   }
 };
 

@@ -17,109 +17,92 @@
 // (Theorem 3.1), giving the Table 1 DAV of s*(3p-1) for reduce-scatter.
 #include <cstdint>
 
-#include "yhccl/coll/coll.hpp"
-#include "yhccl/coll/detail.hpp"
-#include "yhccl/copy/isa.hpp"
-#include "yhccl/copy/policy.hpp"
-#include "yhccl/copy/reduce_kernels.hpp"
-#include "yhccl/trace/trace.hpp"
+#include "schedule.hpp"
 
 namespace yhccl::coll {
 
+namespace detail {
+
 namespace {
 
-using detail::BlockSlicing;
-
-enum class FinalDest : int {
-  recv_block,  ///< stream the last reduce into my receive block (scatter)
-  shm,         ///< keep the result in shared memory (allreduce/reduce)
-};
-
-/// One MA round (steps j = 0..p-1 of round t for this rank).
-void ma_round(RankCtx& ctx, const std::byte* send, std::byte* recv_block,
-              std::byte* shm, const BlockSlicing& S, std::size_t t,
-              Datatype d, ReduceOp op, const CollOpts& opts, std::size_t C,
-              std::size_t W, std::uint64_t seq, FinalDest fd) {
-  const int p = ctx.nranks();
-  const int r = ctx.rank();
+/// One MA round (steps j = 0..p-1 of round t for this rank).  The last
+/// step either stays in shared memory or, for the scatter, streams into my
+/// receive block.
+template <class X>
+void ma_round(X& x, const BlockSlicing& S, std::size_t t,
+              typename X::Addr shm, std::uint64_t seq, bool scatter) {
+  const int p = x.nranks();
+  const int r = x.rank();
   const int right = (r + 1) % p;
   for (int j = 0; j < p; ++j) {
     // Abort/injection check once per slice step: compute-heavy reduce
     // phases leave the team promptly instead of at the next sync point.
-    rt::fault_point("slice");
+    x.fault_point("slice");
     const auto l = static_cast<std::size_t>((r + 1 + j) % p);
     const std::uint64_t k = t * static_cast<std::size_t>(p) +
                             static_cast<std::size_t>(j);
-    if (k > 0) ctx.step_wait(right, rt::RankCtx::step_value(seq, k));
+    if (k > 0) x.step_wait(right, rt::RankCtx::step_value(seq, k));
     const std::size_t len = S.len(l, t);
     if (len > 0) {
-      std::byte* slot = shm + l * S.slice;
-      const std::byte* src = send + S.off(l, t);
-      if (j == 0) {
+      const auto slot = shm + l * S.slice;
+      const auto src = x.send(S.off(l, t));
+      if (j == 0)
         // The shared slot is re-read by every later step: temporal hint.
-        trace::Span sp(trace::Phase::copy_in, len);
-        if (sp.active())
-          sp.set_variant(trace::copy_variant(
-              copy::use_nt_store(opts.policy, true, C, W, len),
-              static_cast<int>(copy::active_isa())));
-        copy::dispatch_copy(opts.policy, slot, src, len,
-                            /*temporal_hint=*/true, C, W);
-      } else if (j < p - 1 || fd == FinalDest::shm) {
-        trace::Span sp(trace::Phase::reduce, len);
-        if (sp.active())
-          sp.set_variant(trace::copy_variant(
-              false, static_cast<int>(copy::active_isa())));
-        copy::reduce_inplace(slot, src, len, d, op);
-      } else {
+        x.copy_in(slot, src, len);
+      else if (j < p - 1 || !scatter)
+        x.reduce(slot, src, len);
+      else
         // j == p-1 implies l == r: fuse the last reduction with the
         // delivery into my receive block; the result is never re-read by
         // this collective, so the store may stream.
-        const bool nt = copy::use_nt_store(opts.policy,
-                                           /*temporal_hint=*/false, C, W, len);
-        trace::Span sp(trace::Phase::reduce, len);
-        if (sp.active())
-          sp.set_variant(trace::copy_variant(
-              nt, static_cast<int>(copy::active_isa())));
-        copy::reduce_out(recv_block + S.off_in_block(t), slot, src, len, d,
-                         op, nt);
-      }
+        x.reduce_out(x.recv(S.off_in_block(t)), slot, src, len);
     }
-    ctx.step_publish(rt::RankCtx::step_value(seq, k + 1));
+    x.step_publish(rt::RankCtx::step_value(seq, k + 1));
   }
 }
 
 }  // namespace
+
+template <class X>
+void ma_schedule(X& x, CollKind kind, std::size_t bytes, int root) {
+  const int p = x.nranks();
+  const auto S = BlockSlicing::of(kind, bytes, p, x.opts());
+  if (p == 1) return x.self_copy(S.total);
+  const auto shm = x.carve(static_cast<std::size_t>(p) * S.slice);
+  x.set_work_set(WorkSet::of(kind, S.total, p, 1, S.slice));
+  const std::uint64_t seq = x.next_seq();
+
+  for (std::size_t t = 0; t < S.nrounds; ++t) {
+    ma_round(x, S, t, shm, seq, scatters(kind));
+    if (scatters(kind)) continue;
+    x.barrier();  // all final reduces of this round done
+    // Copy-out (Algorithm 2 lines 14-16): the receive buffer is only read
+    // after the collective, so these stores may stream.
+    x.fault_point("slice");
+    if (copies_out(kind, x.rank(), root)) copy_out_round(x, S, t, shm);
+    x.barrier();  // shm slots may be overwritten by the next round
+  }
+  // Protect shm reuse by the next collective (a laggard's final reduce may
+  // still be reading its slot).
+  if (scatters(kind)) x.barrier();
+}
+
+template void ma_schedule(RankExec&, CollKind, std::size_t, int);
+template void ma_schedule(CountExec&, CollKind, std::size_t, int);
+
+}  // namespace detail
 
 void ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
                        std::size_t count, Datatype d, ReduceOp op,
                        const CollOpts& opts) {
   detail::check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
-  const int p = ctx.nranks();
   const std::size_t B = count * dtype_size(d);
   trace::CollScope coll_scope(detail::trace_coll_id(CollKind::reduce_scatter),
-                              B * static_cast<std::size_t>(p),
+                              B * static_cast<std::size_t>(ctx.nranks()),
                               detail::trace_alg_id(Algorithm::ma_flat));
-  const auto* sb = static_cast<const std::byte*>(send);
-  auto* rb = static_cast<std::byte*>(recv);
-  if (p == 1) {
-    copy::t_copy(rb, sb, B);
-    return;
-  }
-  const std::size_t total = B * static_cast<std::size_t>(p);
-  const auto S = BlockSlicing::with_block(total, B, opts);
-  detail::ScratchCarver carve(ctx);
-  std::byte* shm = carve.take(static_cast<std::size_t>(p) * S.slice);
-  const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::reduce_scatter(total, p, S.slice);
-  const std::uint64_t seq = ctx.next_seq();
-
-  for (std::size_t t = 0; t < S.nrounds; ++t)
-    ma_round(ctx, sb, rb, shm, S, t, d, op, opts, C, W, seq,
-             FinalDest::recv_block);
-  // Protect shm reuse by the next collective (a laggard's final reduce may
-  // still be reading its slot).
-  ctx.barrier();
+  detail::RankExec x(ctx, send, recv, opts, d, op);
+  detail::ma_schedule(x, CollKind::reduce_scatter, B, /*root=*/0);
 }
 
 void ma_allreduce(RankCtx& ctx, const void* send, void* recv,
@@ -127,50 +110,12 @@ void ma_allreduce(RankCtx& ctx, const void* send, void* recv,
                   const CollOpts& opts) {
   detail::check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
-  const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);
   trace::CollScope coll_scope(detail::trace_coll_id(CollKind::allreduce),
                               total,
                               detail::trace_alg_id(Algorithm::ma_flat));
-  const auto* sb = static_cast<const std::byte*>(send);
-  auto* rb = static_cast<std::byte*>(recv);
-  if (p == 1) {
-    copy::t_copy(rb, sb, total);
-    return;
-  }
-  const auto S = BlockSlicing::partitioned(total, p, opts);
-  detail::ScratchCarver carve(ctx);
-  std::byte* shm = carve.take(static_cast<std::size_t>(p) * S.slice);
-  const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::allreduce(total, p, 1, S.slice);
-  const std::uint64_t seq = ctx.next_seq();
-
-  for (std::size_t t = 0; t < S.nrounds; ++t) {
-    ma_round(ctx, sb, nullptr, shm, S, t, d, op, opts, C, W, seq,
-             FinalDest::shm);
-    ctx.barrier();  // all final reduces of this round done
-    // Copy-out (Algorithm 2 lines 14-16): the receive buffer is only read
-    // after the collective, so these stores may stream.
-    rt::fault_point("slice");
-    {
-      trace::Span sp(trace::Phase::copy_out);
-      if (sp.active())
-        sp.set_variant(trace::copy_variant(
-            copy::use_nt_store(opts.policy, false, C, W, S.slice),
-            static_cast<int>(copy::active_isa())));
-      for (int b = 0; b < p; ++b) {
-        const auto lb = static_cast<std::size_t>(b);
-        const std::size_t len = S.len(lb, t);
-        if (len > 0) {
-          sp.add_bytes(len);
-          copy::dispatch_copy(opts.policy, rb + S.off(lb, t),
-                              shm + lb * S.slice, len,
-                              /*temporal_hint=*/false, C, W);
-        }
-      }
-    }
-    ctx.barrier();  // shm slots may be overwritten by the next round
-  }
+  detail::RankExec x(ctx, send, recv, opts, d, op);
+  detail::ma_schedule(x, CollKind::allreduce, total, /*root=*/0);
 }
 
 void ma_reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
@@ -178,47 +123,11 @@ void ma_reduce(RankCtx& ctx, const void* send, void* recv, std::size_t count,
   detail::check_reduction_args(ctx, send, count, d, op);
   detail::check_root(ctx, root);
   if (count == 0) return;
-  const int p = ctx.nranks();
   const std::size_t total = count * dtype_size(d);
   trace::CollScope coll_scope(detail::trace_coll_id(CollKind::reduce), total,
                               detail::trace_alg_id(Algorithm::ma_flat));
-  const auto* sb = static_cast<const std::byte*>(send);
-  auto* rb = static_cast<std::byte*>(recv);
-  if (p == 1) {
-    copy::t_copy(rb, sb, total);
-    return;
-  }
-  const auto S = BlockSlicing::partitioned(total, p, opts);
-  detail::ScratchCarver carve(ctx);
-  std::byte* shm = carve.take(static_cast<std::size_t>(p) * S.slice);
-  const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::reduce(total, p, 1, S.slice);
-  const std::uint64_t seq = ctx.next_seq();
-
-  for (std::size_t t = 0; t < S.nrounds; ++t) {
-    ma_round(ctx, sb, nullptr, shm, S, t, d, op, opts, C, W, seq,
-             FinalDest::shm);
-    ctx.barrier();
-    rt::fault_point("slice");
-    if (ctx.rank() == root) {
-      trace::Span sp(trace::Phase::copy_out);
-      if (sp.active())
-        sp.set_variant(trace::copy_variant(
-            copy::use_nt_store(opts.policy, false, C, W, S.slice),
-            static_cast<int>(copy::active_isa())));
-      for (int b = 0; b < p; ++b) {
-        const auto lb = static_cast<std::size_t>(b);
-        const std::size_t len = S.len(lb, t);
-        if (len > 0) {
-          sp.add_bytes(len);
-          copy::dispatch_copy(opts.policy, rb + S.off(lb, t),
-                              shm + lb * S.slice, len,
-                              /*temporal_hint=*/false, C, W);
-        }
-      }
-    }
-    ctx.barrier();
-  }
+  detail::RankExec x(ctx, send, recv, opts, d, op);
+  detail::ma_schedule(x, CollKind::reduce, total, root);
 }
 
 }  // namespace yhccl::coll

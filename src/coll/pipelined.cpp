@@ -8,13 +8,11 @@
 // exceeds the available cache.
 #include <cstdint>
 
-#include "yhccl/coll/coll.hpp"
-#include "yhccl/coll/detail.hpp"
-#include "yhccl/copy/isa.hpp"
-#include "yhccl/copy/policy.hpp"
-#include "yhccl/trace/trace.hpp"
+#include "schedule.hpp"
 
 namespace yhccl::coll {
+
+namespace detail {
 
 namespace {
 
@@ -26,7 +24,80 @@ std::size_t pipeline_slice(std::size_t total, const CollOpts& opts) {
   return std::min(want, imax);
 }
 
+template <class X>
+void broadcast_schedule(X& x, std::size_t s, int root) {
+  const int p = x.nranks();
+  if (p == 1) return;
+  const std::size_t I = pipeline_slice(s, x.opts());
+  const std::size_t nsl = ceil_div(s, I);
+  const auto shm = x.carve(2 * I);
+  x.set_work_set(WorkSet::broadcast(s, p, I));
+  const bool is_root = x.rank() == root;
+
+  auto slice_len = [&](std::size_t k) { return std::min(I, s - k * I); };
+  // Consumer side: receive buffers are used only after the collective.
+  auto drain = [&](std::size_t k) {
+    x.copy_out(x.recv(k * I), shm + (k % 2) * I, slice_len(k));
+  };
+
+  for (std::size_t k = 0; k < nsl; ++k) {
+    // One abort/injection check per pipeline stage (slot-copy granularity).
+    x.fault_point("pipeline");
+    if (is_root)
+      // Producer side: the slot is consumed right away -> temporal.
+      x.copy_in(shm + (k % 2) * I, x.send(k * I), slice_len(k));
+    else if (k >= 1)
+      drain(k - 1);
+    x.barrier();
+  }
+  if (!is_root) drain(nsl - 1);
+  x.barrier();  // protect slot reuse by the next collective
+}
+
+template <class X>
+void allgather_schedule(X& x, std::size_t s) {
+  const int p = x.nranks();
+  if (p == 1) return x.self_copy(s);
+  const std::size_t I = pipeline_slice(s, x.opts());
+  const std::size_t nsl = ceil_div(s, I);
+  const auto shm =
+      x.carve(2 * static_cast<std::size_t>(p) * I);  // p double buffers
+  auto slot = [&](int rank, std::size_t k) {
+    return shm + (static_cast<std::size_t>(rank) * 2 + k % 2) * I;
+  };
+  x.set_work_set(WorkSet::allgather(s, p, I));
+  auto slice_len = [&](std::size_t k) { return std::min(I, s - k * I); };
+  // Every rank's slice k, out of the slots, in one span.
+  auto drain = [&](std::size_t k) {
+    const std::size_t lp = slice_len(k);
+    auto batch = x.batch(trace::Phase::copy_out, lp);
+    for (int a = 0; a < p; ++a)
+      x.copy_out(x.recv(static_cast<std::size_t>(a) * s + k * I), slot(a, k),
+                 lp);
+  };
+
+  for (std::size_t k = 0; k < nsl; ++k) {
+    x.fault_point("pipeline");
+    x.copy_in(slot(x.rank(), k), x.send(k * I), slice_len(k));
+    if (k >= 1) drain(k - 1);
+    x.barrier();
+  }
+  drain(nsl - 1);
+  x.barrier();
+}
+
 }  // namespace
+
+template <class X>
+void pipelined_schedule(X& x, CollKind kind, std::size_t bytes, int root) {
+  if (kind == CollKind::broadcast) return broadcast_schedule(x, bytes, root);
+  allgather_schedule(x, bytes);
+}
+
+template void pipelined_schedule(RankExec&, CollKind, std::size_t, int);
+template void pipelined_schedule(CountExec&, CollKind, std::size_t, int);
+
+}  // namespace detail
 
 void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
                          Datatype d, int root, const CollOpts& opts) {
@@ -34,55 +105,10 @@ void pipelined_broadcast(RankCtx& ctx, void* buf, std::size_t count,
   trace::CollScope coll_scope(detail::trace_coll_id(CollKind::broadcast),
                               count * dtype_size(d),
                               detail::trace_alg_id(Algorithm::pipelined));
-  if (count == 0 || ctx.nranks() == 1) return;
-  const int p = ctx.nranks();
-  const std::size_t s = count * dtype_size(d);
-  const std::size_t I = pipeline_slice(s, opts);
-  const std::size_t nsl = ceil_div(s, I);
-  detail::ScratchCarver carve(ctx);
-  std::byte* shm = carve.take(2 * I);
-  auto* b = static_cast<std::byte*>(buf);
-  const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::broadcast(s, p, I);
-
-  auto slice_len = [&](std::size_t k) { return std::min(I, s - k * I); };
-
-  for (std::size_t k = 0; k < nsl; ++k) {
-    // One abort/injection check per pipeline stage (slot-copy granularity).
-    rt::fault_point("pipeline");
-    if (ctx.rank() == root) {
-      // Producer side: the slot is consumed right away -> temporal.
-      trace::Span sp(trace::Phase::copy_in, slice_len(k));
-      if (sp.active())
-        sp.set_variant(trace::copy_variant(
-            copy::use_nt_store(opts.policy, true, C, W, slice_len(k)),
-            static_cast<int>(copy::active_isa())));
-      copy::dispatch_copy(opts.policy, shm + (k % 2) * I, b + k * I,
-                          slice_len(k), /*temporal_hint=*/true, C, W);
-    } else if (k >= 1) {
-      // Consumer side: receive buffers are used only after the collective.
-      trace::Span sp(trace::Phase::copy_out, slice_len(k - 1));
-      if (sp.active())
-        sp.set_variant(trace::copy_variant(
-            copy::use_nt_store(opts.policy, false, C, W, slice_len(k - 1)),
-            static_cast<int>(copy::active_isa())));
-      copy::dispatch_copy(opts.policy, b + (k - 1) * I,
-                          shm + ((k - 1) % 2) * I, slice_len(k - 1),
-                          /*temporal_hint=*/false, C, W);
-    }
-    ctx.barrier();
-  }
-  if (ctx.rank() != root) {
-    trace::Span sp(trace::Phase::copy_out, slice_len(nsl - 1));
-    if (sp.active())
-      sp.set_variant(trace::copy_variant(
-          copy::use_nt_store(opts.policy, false, C, W, slice_len(nsl - 1)),
-          static_cast<int>(copy::active_isa())));
-    copy::dispatch_copy(opts.policy, b + (nsl - 1) * I,
-                        shm + ((nsl - 1) % 2) * I, slice_len(nsl - 1),
-                        /*temporal_hint=*/false, C, W);
-  }
-  ctx.barrier();  // protect slot reuse by the next collective
+  if (count == 0) return;
+  detail::RankExec x(ctx, buf, buf, opts);
+  detail::pipelined_schedule(x, CollKind::broadcast, count * dtype_size(d),
+                             root);
 }
 
 void pipelined_allgather(RankCtx& ctx, const void* send, void* recv,
@@ -92,69 +118,9 @@ void pipelined_allgather(RankCtx& ctx, const void* send, void* recv,
                               count * dtype_size(d),
                               detail::trace_alg_id(Algorithm::pipelined));
   if (count == 0) return;
-  const int p = ctx.nranks();
-  const std::size_t s = count * dtype_size(d);
-  const auto* sb = static_cast<const std::byte*>(send);
-  auto* rb = static_cast<std::byte*>(recv);
-  if (p == 1) {
-    copy::t_copy(rb, sb, s);
-    return;
-  }
-  const std::size_t I = pipeline_slice(s, opts);
-  const std::size_t nsl = ceil_div(s, I);
-  detail::ScratchCarver carve(ctx);
-  std::byte* shm =
-      carve.take(2 * static_cast<std::size_t>(p) * I);  // p double buffers
-  auto slot = [&](int rank, std::size_t k) {
-    return shm + (static_cast<std::size_t>(rank) * 2 + k % 2) * I;
-  };
-  const std::size_t C = ctx.cache().available(p);
-  const std::size_t W = detail::WorkSet::allgather(s, p, I);
-  auto slice_len = [&](std::size_t k) { return std::min(I, s - k * I); };
-
-  for (std::size_t k = 0; k < nsl; ++k) {
-    rt::fault_point("pipeline");
-    {
-      trace::Span sp(trace::Phase::copy_in, slice_len(k));
-      if (sp.active())
-        sp.set_variant(trace::copy_variant(
-            copy::use_nt_store(opts.policy, true, C, W, slice_len(k)),
-            static_cast<int>(copy::active_isa())));
-      copy::dispatch_copy(opts.policy, slot(ctx.rank(), k), sb + k * I,
-                          slice_len(k), /*temporal_hint=*/true, C, W);
-    }
-    if (k >= 1) {
-      const std::size_t lp = slice_len(k - 1);
-      trace::Span sp(trace::Phase::copy_out);
-      if (sp.active())
-        sp.set_variant(trace::copy_variant(
-            copy::use_nt_store(opts.policy, false, C, W, lp),
-            static_cast<int>(copy::active_isa())));
-      for (int a = 0; a < p; ++a) {
-        sp.add_bytes(lp);
-        copy::dispatch_copy(opts.policy,
-                            rb + static_cast<std::size_t>(a) * s + (k - 1) * I,
-                            slot(a, k - 1), lp, /*temporal_hint=*/false, C,
-                            W);
-      }
-    }
-    ctx.barrier();
-  }
-  const std::size_t lp = slice_len(nsl - 1);
-  {
-    trace::Span sp(trace::Phase::copy_out);
-    if (sp.active())
-      sp.set_variant(trace::copy_variant(
-          copy::use_nt_store(opts.policy, false, C, W, lp),
-          static_cast<int>(copy::active_isa())));
-    for (int a = 0; a < p; ++a) {
-      sp.add_bytes(lp);
-      copy::dispatch_copy(opts.policy,
-                          rb + static_cast<std::size_t>(a) * s + (nsl - 1) * I,
-                          slot(a, nsl - 1), lp, /*temporal_hint=*/false, C, W);
-    }
-  }
-  ctx.barrier();
+  detail::RankExec x(ctx, send, recv, opts);
+  detail::pipelined_schedule(x, CollKind::allgather, count * dtype_size(d),
+                             /*root=*/0);
 }
 
 }  // namespace yhccl::coll

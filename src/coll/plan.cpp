@@ -6,6 +6,7 @@
 #include <bit>
 
 #include "yhccl/coll/detail.hpp"
+#include "yhccl/coll/op_counts.hpp"
 #include "yhccl/coll/plan.hpp"
 #include "yhccl/model/dav_model.hpp"
 #include "yhccl/runtime/slot.hpp"
@@ -74,60 +75,16 @@ std::uint64_t opts_signature(const CollOpts& opts) noexcept {
 // ---- cost-model switch points -----------------------------------------------
 // The prior's thresholds are where the model::predict_us costs of the arms
 // cross (docs/tuning.md "How the prior picks an arm").  They are computed
-// once per shape and process by running the exact op-count simulators,
-// then memoized, so choose_algorithm stays O(1).
+// once per shape and process from the exact op counts of the schedules
+// the ranks run (coll::op_counts), then memoized, so choose_algorithm
+// stays O(1).
 
 namespace {
-
-model::impl::OpGeometry geometry(int ranks, int sockets,
-                                 const CollOpts& o) noexcept {
-  model::impl::OpGeometry g;
-  g.p = ranks;
-  g.m = sockets;
-  g.slice_max = o.slice_max;
-  g.slice_min = o.slice_min;
-  g.dpml_chunk = o.dpml_chunk;
-  g.dpml_flat = o.dpml_flat;
-  return g;
-}
 
 /// The MA arm the prior runs on this shape.
 Algorithm ma_arm(int ranks, int sockets) noexcept {
   return socket_shape(ranks, sockets) ? Algorithm::ma_socket_aware
                                       : Algorithm::ma_flat;
-}
-
-model::impl::OpCounts arm_ops(CollKind kind, Algorithm a, std::size_t s,
-                              const model::impl::OpGeometry& g) noexcept {
-  namespace mi = model::impl;
-  const bool socket = a == Algorithm::ma_socket_aware;
-  switch (kind) {
-    case CollKind::allreduce:
-      if (a == Algorithm::slot) return mi::slot_allreduce_ops(s, g);
-      if (a == Algorithm::dpml_two_level) return mi::dpml_allreduce_ops(s, g);
-      return socket ? mi::socket_ma_allreduce_ops(s, g)
-                    : mi::ma_allreduce_ops(s, g);
-    case CollKind::reduce:
-      if (a == Algorithm::slot) return mi::slot_reduce_ops(s, g);
-      if (a == Algorithm::dpml_two_level) return mi::dpml_reduce_ops(s, g);
-      return socket ? mi::socket_ma_reduce_ops(s, g)
-                    : mi::ma_reduce_ops(s, g);
-    case CollKind::reduce_scatter:
-      if (a == Algorithm::dpml_two_level)
-        return mi::dpml_reduce_scatter_ops(s, g);
-      return socket ? mi::socket_ma_reduce_scatter_ops(s, g)
-                    : mi::ma_reduce_scatter_ops(s, g);
-    case CollKind::broadcast:
-      if (a == Algorithm::slot) return mi::slot_broadcast_ops(s, g);
-      return mi::pipelined_broadcast_ops(s, g);
-    default:
-      return mi::pipelined_allgather_ops(s, g);
-  }
-}
-
-double arm_us(CollKind kind, Algorithm a, std::size_t s,
-              const model::impl::OpGeometry& g) noexcept {
-  return model::predict_us(arm_ops(kind, a, s, g), g.p);
 }
 
 /// Largest s in [lo, hi] for which `wins` holds (0 if none), given that it
@@ -157,8 +114,10 @@ constexpr std::size_t kScanBytes = std::size_t{1} << 28;
 
 SwitchPoints derive(CollKind kind, int ranks, int sockets,
                     const CollOpts& o) noexcept {
-  const model::impl::OpGeometry g = geometry(ranks, sockets, o);
   const Algorithm ma = ma_arm(ranks, sockets);
+  const auto us = [&](Algorithm a, std::size_t s) {
+    return predicted_us(kind, a, s, ranks, sockets, o);
+  };
   SwitchPoints sp;
   if (is_reduction(kind))
     // A reduce-scatter input moves nothing below one byte per rank.
@@ -166,17 +125,15 @@ SwitchPoints derive(CollKind kind, int ranks, int sockets,
                                ? static_cast<std::size_t>(ranks)
                                : 1,
                            kScanBytes, [&](std::size_t s) {
-      return arm_us(kind, Algorithm::dpml_two_level, s, g) <
-             arm_us(kind, ma, s, g);
+      return us(Algorithm::dpml_two_level, s) < us(ma, s);
     });
   if (slot_kind(kind))
     sp.slot_max = last_win(1, rt::slot_capacity(ranks), [&](std::size_t s) {
       const double other =
           kind == CollKind::broadcast
-              ? arm_us(kind, Algorithm::pipelined, s, g)
-              : std::min(arm_us(kind, Algorithm::dpml_two_level, s, g),
-                         arm_us(kind, ma, s, g));
-      return arm_us(kind, Algorithm::slot, s, g) <= other;
+              ? us(Algorithm::pipelined, s)
+              : std::min(us(Algorithm::dpml_two_level, s), us(ma, s));
+      return us(Algorithm::slot, s) <= other;
     });
   return sp;
 }
@@ -282,7 +239,8 @@ SwitchPoints switch_points(CollKind kind, int ranks, int sockets,
 
 double predicted_us(CollKind kind, Algorithm a, std::size_t msg_bytes,
                     int ranks, int sockets, const CollOpts& opts) noexcept {
-  return arm_us(kind, a, msg_bytes, geometry(ranks, sockets, opts));
+  return model::predict_us(
+      op_counts(kind, a, msg_bytes, ranks, sockets, opts), ranks);
 }
 
 // ---- size buckets -----------------------------------------------------------

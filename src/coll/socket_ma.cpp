@@ -17,187 +17,113 @@
 // the ranks do not divide evenly across sockets.
 #include <cstdint>
 
-#include "yhccl/coll/coll.hpp"
-#include "yhccl/coll/detail.hpp"
-#include "yhccl/copy/isa.hpp"
-#include "yhccl/copy/policy.hpp"
-#include "yhccl/copy/reduce_kernels.hpp"
-#include "yhccl/trace/trace.hpp"
+#include "schedule.hpp"
 
 namespace yhccl::coll {
 
+namespace detail {
+
 namespace {
 
-using detail::BlockSlicing;
-
-bool socket_layout_usable(const RankCtx& ctx) {
-  auto& t = const_cast<RankCtx&>(ctx).team().topo();
+bool socket_layout_usable(const rt::Topology& t) {
   return t.nsockets() > 1 && t.nranks() % t.nsockets() == 0 &&
          t.nranks() / t.nsockets() >= 1;
 }
 
-enum class FinalDest : int { recv_block, shm };
+}  // namespace
 
-struct SocketPlan {
-  int p, m, n;        // ranks, sockets, ranks-per-socket
-  int sock, q, base;  // my socket, local index, socket base rank
-  std::byte* sock_shm(std::byte* scratch, int x, std::size_t I) const {
-    return scratch + static_cast<std::size_t>(x) *
-                         (static_cast<std::size_t>(p) * I);
-  }
-};
-
-SocketPlan make_plan(RankCtx& ctx) {
-  SocketPlan pl;
-  pl.p = ctx.nranks();
-  pl.m = ctx.nsockets();
-  pl.n = pl.p / pl.m;
-  pl.sock = ctx.socket();
-  pl.q = ctx.socket_rank();
-  pl.base = ctx.socket_base();
-  return pl;
-}
-
-/// Stage 1 of round t: intra-socket MA accumulation into sock_shm[sock].
-/// Socket slice u covers ownership blocks [u*m, (u+1)*m).
-void stage1(RankCtx& ctx, const SocketPlan& pl, const std::byte* send,
-            std::byte* my_sock_shm, const BlockSlicing& S, std::size_t t,
-            Datatype d, ReduceOp op, const CollOpts& opts, std::size_t C,
-            std::size_t W, std::uint64_t seq) {
-  const int local_right = pl.base + (pl.q + 1) % pl.n;
-  for (int j = 0; j < pl.n; ++j) {
-    // Abort/injection check once per intra-socket slice step.
-    rt::fault_point("slice");
-    const int u = (pl.q + 1 + j) % pl.n;
-    const std::uint64_t k = t * static_cast<std::size_t>(pl.n) +
-                            static_cast<std::size_t>(j);
-    if (k > 0 && pl.n > 1)
-      ctx.step_wait(local_right, rt::RankCtx::step_value(seq, k));
-    for (int b = u * pl.m; b < (u + 1) * pl.m; ++b) {
-      const auto lb = static_cast<std::size_t>(b);
-      const std::size_t len = S.len(lb, t);
-      if (len == 0) continue;
-      std::byte* slot = my_sock_shm + lb * S.slice;
-      const std::byte* src = send + S.off(lb, t);
-      if (j == 0) {
-        trace::Span sp(trace::Phase::copy_in, len);
-        if (sp.active())
-          sp.set_variant(trace::copy_variant(
-              copy::use_nt_store(opts.policy, true, C, W, len),
-              static_cast<int>(copy::active_isa())));
-        copy::dispatch_copy(opts.policy, slot, src, len,
-                            /*temporal_hint=*/true, C, W);
-      } else {
-        trace::Span sp(trace::Phase::reduce, len);
-        if (sp.active())
-          sp.set_variant(trace::copy_variant(
-              false, static_cast<int>(copy::active_isa())));
-        copy::reduce_inplace(slot, src, len, d, op);
-      }
-    }
-    ctx.step_publish(rt::RankCtx::step_value(seq, k + 1));
-  }
-}
-
-/// Stage 2 of round t: combine slice `rank` across the m socket buffers.
-void stage2(RankCtx& ctx, const SocketPlan& pl, std::byte* scratch,
-            std::byte* dest, const BlockSlicing& S,
-            Datatype d, ReduceOp op, bool nt, std::size_t len) {
-  if (len == 0) return;
-  const void* srcs[rt::kMaxSockets];
-  const auto r = static_cast<std::size_t>(ctx.rank());
-  for (int x = 0; x < pl.m; ++x)
-    srcs[x] = pl.sock_shm(scratch, x, S.slice) + r * S.slice;
-  trace::Span sp(trace::Phase::reduce, len);
-  if (sp.active())
-    sp.set_variant(
-        trace::copy_variant(nt, static_cast<int>(copy::active_isa())));
-  copy::reduce_out_multi(dest, srcs, pl.m, len, d, op, nt);
-}
-
-void socket_ma_core(RankCtx& ctx, const std::byte* send, std::byte* recv,
-                    const BlockSlicing& S, Datatype d, ReduceOp op,
-                    const CollOpts& opts, std::size_t W, FinalDest fd,
-                    int root /* <0: scatter/allreduce copy-out semantics */,
-                    bool copy_out_all) {
-  const auto pl = make_plan(ctx);
-  detail::ScratchCarver carve(ctx);
-  std::byte* scratch = carve.take(static_cast<std::size_t>(pl.m) *
-                                  static_cast<std::size_t>(pl.p) * S.slice);
-  std::byte* my_sock_shm = pl.sock_shm(scratch, pl.sock, S.slice);
-  std::byte* node_shm = pl.sock_shm(scratch, 0, S.slice);
-  const std::size_t C = ctx.cache().available(pl.p);
-  const std::uint64_t seq = ctx.next_seq();
-  const auto r = static_cast<std::size_t>(ctx.rank());
+template <class X>
+void socket_ma_schedule(X& x, CollKind kind, std::size_t bytes, int root) {
+  if (!socket_layout_usable(x.topo()))
+    return ma_schedule(x, kind, bytes, root);
+  const rt::Topology& topo = x.topo();
+  const int p = x.nranks();
+  const int m = topo.nsockets();  // sockets
+  const int n = p / m;            // ranks per socket
+  const int r = x.rank();
+  const int sock = topo.socket_of(r);
+  const int q = topo.socket_rank(r);
+  const int base = topo.socket_base(sock);
+  const auto S = BlockSlicing::of(kind, bytes, p, x.opts());
+  // One p-slot buffer per socket; socket 0's also gathers the node result.
+  const std::size_t region = static_cast<std::size_t>(p) * S.slice;
+  const auto scratch = x.carve(static_cast<std::size_t>(m) * region);
+  const auto sock_shm = [&](int s) {
+    return scratch + static_cast<std::size_t>(s) * region;
+  };
+  x.set_work_set(WorkSet::of(kind, S.total, p, m, S.slice));
+  const std::uint64_t seq = x.next_seq();
+  const auto lr = static_cast<std::size_t>(r);
+  const int local_right = base + (q + 1) % n;
 
   for (std::size_t t = 0; t < S.nrounds; ++t) {
-    stage1(ctx, pl, send, my_sock_shm, S, t, d, op, opts, C, W, seq);
-    ctx.barrier();  // every socket's stage-1 accumulation complete
-
-    rt::fault_point("slice");
-    const std::size_t len = S.len(r, t);
-    if (fd == FinalDest::recv_block) {
-      const bool nt =
-          copy::use_nt_store(opts.policy, /*temporal_hint=*/false, C, W, len);
-      stage2(ctx, pl, scratch, recv + S.off_in_block(t), S, d, op, nt, len);
-    } else {
-      // Result gathered into socket-0's buffer (read again right away).
-      stage2(ctx, pl, scratch, node_shm + r * S.slice, S, d, op,
-             /*nt=*/false, len);
-    }
-    ctx.barrier();  // stage-2 reads of all sockets' buffers complete
-
-    if (fd == FinalDest::shm) {
-      const bool root_only = root >= 0;
-      if (copy_out_all || (root_only && ctx.rank() == root)) {
-        trace::Span sp(trace::Phase::copy_out);
-        if (sp.active())
-          sp.set_variant(trace::copy_variant(
-              copy::use_nt_store(opts.policy, false, C, W, S.slice),
-              static_cast<int>(copy::active_isa())));
-        for (int b = 0; b < pl.p; ++b) {
-          const auto lb = static_cast<std::size_t>(b);
-          const std::size_t blen = S.len(lb, t);
-          if (blen > 0) {
-            sp.add_bytes(blen);
-            copy::dispatch_copy(opts.policy, recv + S.off(lb, t),
-                                node_shm + lb * S.slice, blen,
-                                /*temporal_hint=*/false, C, W);
-          }
-        }
+    // Stage 1: intra-socket MA accumulation into my socket's buffer.
+    // Socket slice u covers ownership blocks [u*m, (u+1)*m).
+    for (int j = 0; j < n; ++j) {
+      // Abort/injection check once per intra-socket slice step.
+      x.fault_point("slice");
+      const int u = (q + 1 + j) % n;
+      const std::uint64_t k = t * static_cast<std::size_t>(n) +
+                              static_cast<std::size_t>(j);
+      if (k > 0 && n > 1)
+        x.step_wait(local_right, rt::RankCtx::step_value(seq, k));
+      for (int b = u * m; b < (u + 1) * m; ++b) {
+        const auto lb = static_cast<std::size_t>(b);
+        const std::size_t len = S.len(lb, t);
+        if (len == 0) continue;
+        const auto slot = sock_shm(sock) + lb * S.slice;
+        const auto src = x.send(S.off(lb, t));
+        if (j == 0)
+          x.copy_in(slot, src, len);
+        else
+          x.reduce(slot, src, len);
       }
-      ctx.barrier();  // copy-out done before the next round overwrites
+      x.step_publish(rt::RankCtx::step_value(seq, k + 1));
+    }
+    x.barrier();  // every socket's stage-1 accumulation complete
+
+    // Stage 2: combine slice r across the m socket buffers — into my
+    // receive block for the scatter, else into socket 0's buffer (read
+    // again right away).
+    x.fault_point("slice");
+    const std::size_t len = S.len(lr, t);
+    if (len > 0) {
+      typename X::Src srcs[rt::kMaxSockets];
+      for (int s = 0; s < m; ++s) srcs[s] = sock_shm(s) + lr * S.slice;
+      x.reduce_multi(scatters(kind) ? x.recv(S.off_in_block(t))
+                                    : sock_shm(0) + lr * S.slice,
+                     srcs, m, len, /*deliver=*/scatters(kind));
+    }
+    x.barrier();  // stage-2 reads of all sockets' buffers complete
+
+    if (!scatters(kind)) {
+      if (copies_out(kind, r, root)) copy_out_round(x, S, t, sock_shm(0));
+      x.barrier();  // copy-out done before the next round overwrites
     }
   }
 }
 
-}  // namespace
+template void socket_ma_schedule(RankExec&, CollKind, std::size_t, int);
+template void socket_ma_schedule(CountExec&, CollKind, std::size_t, int);
+
+}  // namespace detail
+
+// Each entry opens the outermost scope: a fallback to the flat arm nests
+// inside it, so the trace still attributes the call to the socket-aware
+// algorithm choice.
 
 void socket_ma_reduce_scatter(RankCtx& ctx, const void* send, void* recv,
                               std::size_t count, Datatype d, ReduceOp op,
                               const CollOpts& opts) {
-  // Outermost scope: a fallback to the flat arm nests inside it, so the
-  // trace still attributes the call to the socket-aware algorithm choice.
   trace::CollScope coll_scope(
       detail::trace_coll_id(CollKind::reduce_scatter),
       count * dtype_size(d) * static_cast<std::size_t>(ctx.nranks()),
       detail::trace_alg_id(Algorithm::ma_socket_aware));
-  if (!socket_layout_usable(ctx))
-    return ma_reduce_scatter(ctx, send, recv, count, d, op, opts);
   detail::check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
-  const int p = ctx.nranks();
-  const std::size_t B = count * dtype_size(d);
-  if (p == 1) {
-    copy::t_copy(recv, send, B);
-    return;
-  }
-  const std::size_t total = B * static_cast<std::size_t>(p);
-  const auto S = BlockSlicing::with_block(total, B, opts);
-  const std::size_t W = detail::WorkSet::reduce_scatter(total, p, S.slice);
-  socket_ma_core(ctx, static_cast<const std::byte*>(send),
-                 static_cast<std::byte*>(recv), S, d, op, opts, W,
-                 FinalDest::recv_block, /*root=*/-1, /*copy_out_all=*/false);
+  detail::RankExec x(ctx, send, recv, opts, d, op);
+  detail::socket_ma_schedule(x, CollKind::reduce_scatter,
+                             count * dtype_size(d), /*root=*/0);
 }
 
 void socket_ma_allreduce(RankCtx& ctx, const void* send, void* recv,
@@ -206,22 +132,11 @@ void socket_ma_allreduce(RankCtx& ctx, const void* send, void* recv,
   trace::CollScope coll_scope(
       detail::trace_coll_id(CollKind::allreduce), count * dtype_size(d),
       detail::trace_alg_id(Algorithm::ma_socket_aware));
-  if (!socket_layout_usable(ctx))
-    return ma_allreduce(ctx, send, recv, count, d, op, opts);
   detail::check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
-  const int p = ctx.nranks();
-  const std::size_t total = count * dtype_size(d);
-  if (p == 1) {
-    copy::t_copy(recv, send, total);
-    return;
-  }
-  const auto S = BlockSlicing::partitioned(total, p, opts);
-  const std::size_t W =
-      detail::WorkSet::allreduce(total, p, ctx.nsockets(), S.slice);
-  socket_ma_core(ctx, static_cast<const std::byte*>(send),
-                 static_cast<std::byte*>(recv), S, d, op, opts, W,
-                 FinalDest::shm, /*root=*/-1, /*copy_out_all=*/true);
+  detail::RankExec x(ctx, send, recv, opts, d, op);
+  detail::socket_ma_schedule(x, CollKind::allreduce, count * dtype_size(d),
+                             /*root=*/0);
 }
 
 void socket_ma_reduce(RankCtx& ctx, const void* send, void* recv,
@@ -231,22 +146,11 @@ void socket_ma_reduce(RankCtx& ctx, const void* send, void* recv,
   trace::CollScope coll_scope(
       detail::trace_coll_id(CollKind::reduce), count * dtype_size(d),
       detail::trace_alg_id(Algorithm::ma_socket_aware));
-  if (!socket_layout_usable(ctx))
-    return ma_reduce(ctx, send, recv, count, d, op, root, opts);
   detail::check_reduction_args(ctx, send, count, d, op);
   if (count == 0) return;
-  const int p = ctx.nranks();
-  const std::size_t total = count * dtype_size(d);
-  if (p == 1) {
-    copy::t_copy(recv, send, total);
-    return;
-  }
-  const auto S = BlockSlicing::partitioned(total, p, opts);
-  const std::size_t W =
-      detail::WorkSet::reduce(total, p, ctx.nsockets(), S.slice);
-  socket_ma_core(ctx, static_cast<const std::byte*>(send),
-                 static_cast<std::byte*>(recv), S, d, op, opts, W,
-                 FinalDest::shm, root, /*copy_out_all=*/false);
+  detail::RankExec x(ctx, send, recv, opts, d, op);
+  detail::socket_ma_schedule(x, CollKind::reduce, count * dtype_size(d),
+                             root);
 }
 
 }  // namespace yhccl::coll

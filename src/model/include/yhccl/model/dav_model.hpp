@@ -70,25 +70,15 @@ std::uint64_t xpmem_allreduce(std::size_t s, int p);  // s(3p-1), fused
 std::uint64_t pipelined_broadcast(std::size_t s, int p);   // 2s + 2s(p-1)
 std::uint64_t pipelined_allgather(std::size_t s, int p);   // p(2s + 2sp)
 
-// ---- operation-count simulators ---------------------------------------------
+// ---- operation counts -------------------------------------------------------
 // Exact node totals (summed over all p ranks) of every deterministic
 // counter the runtime instruments: DAV bytes (copy/dav.hpp), kernel
 // dispatches (copy/isa.hpp) and sync operations (runtime/sync_counts.hpp).
-// Unlike the closed-form byte models above — which assume divisible
-// geometry — these replay each implementation's loop structure over the
-// same BlockSlicing arithmetic, so they are exact for ragged tails, odd
-// rank counts and s not a multiple of p·slice too.  The bench comparator
-// and the CI perf-smoke leg gate on them (docs/benchmarking.md).
-
-struct OpGeometry {
-  int p = 1;                           ///< team ranks
-  int m = 1;                           ///< sockets (Topology(p, m))
-  std::size_t slice_max = 256u << 10;  ///< CollOpts::slice_max
-  std::size_t slice_min = 64;          ///< CollOpts::slice_min
-  std::size_t dpml_chunk = 32u << 10;  ///< CollOpts::dpml_chunk
-  std::size_t scratch_bytes = 64u << 20;  ///< TeamConfig::scratch_bytes
-  bool dpml_flat = false;              ///< CollOpts::dpml_flat
-};
+// coll::op_counts (coll/op_counts.hpp) derives them for the MA, socket-MA,
+// DPML and pipelined arms from the schedules the ranks run, exact for
+// ragged tails and odd rank counts too; the closed-form byte models above
+// stay the independent check.  The bench comparator and the CI perf-smoke
+// leg gate on them (docs/benchmarking.md).
 
 struct OpCounts {
   std::uint64_t loads = 0;         ///< DAV bytes read
@@ -105,26 +95,16 @@ struct OpCounts {
   bool operator==(const OpCounts&) const noexcept = default;
 };
 
-// `s` follows the byte-model convention: the reduce-scatter input vector
-// (p·count·esize) for *_reduce_scatter, the per-rank message otherwise.
-OpCounts ma_reduce_scatter_ops(std::size_t s, const OpGeometry& g);
-OpCounts ma_allreduce_ops(std::size_t s, const OpGeometry& g);
-OpCounts ma_reduce_ops(std::size_t s, const OpGeometry& g);
-OpCounts socket_ma_reduce_scatter_ops(std::size_t s, const OpGeometry& g);
-OpCounts socket_ma_allreduce_ops(std::size_t s, const OpGeometry& g);
-OpCounts socket_ma_reduce_ops(std::size_t s, const OpGeometry& g);
-OpCounts dpml_reduce_scatter_ops(std::size_t s, const OpGeometry& g);
-OpCounts dpml_allreduce_ops(std::size_t s, const OpGeometry& g);
-OpCounts dpml_reduce_ops(std::size_t s, const OpGeometry& g);
-OpCounts pipelined_broadcast_ops(std::size_t s, const OpGeometry& g);
-OpCounts pipelined_allgather_ops(std::size_t s, const OpGeometry& g);
-OpCounts xpmem_allreduce_ops(std::size_t s, const OpGeometry& g);
+// The arms without a round loop keep closed forms over p ranks.
+// Direct XPMEM all-reduce (baselines/xpmem_direct.cpp): one fused p-ary
+// reduction per block, then every rank gathers the p-1 other blocks.
+OpCounts xpmem_allreduce_ops(std::size_t s, int p);
 // Single-sync slot arm (coll/slot.cpp; s within rt::slot_capacity(p), not
 // in place): writers copy s into their slot and post one flag, readers
 // wait for the writers' flags and fold or copy out — no barrier.
-OpCounts slot_allreduce_ops(std::size_t s, const OpGeometry& g);
-OpCounts slot_reduce_ops(std::size_t s, const OpGeometry& g);
-OpCounts slot_broadcast_ops(std::size_t s, const OpGeometry& g);
+OpCounts slot_allreduce_ops(std::size_t s, int p);
+OpCounts slot_reduce_ops(std::size_t s, int p);
+OpCounts slot_broadcast_ops(std::size_t s, int p);
 
 }  // namespace impl
 
@@ -166,7 +146,7 @@ struct CostConstants {
 
 inline constexpr CostConstants kHostCost{};
 
-/// Predicted µs of one call from its exact node op counts (impl::*_ops).
+/// Predicted µs of one call from its exact node op counts.
 double predict_us(const impl::OpCounts& node, int p,
                   const CostConstants& k = kHostCost) noexcept;
 

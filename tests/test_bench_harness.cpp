@@ -12,6 +12,7 @@
 #include "yhccl/bench/compare.hpp"
 #include "yhccl/bench/harness.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/op_counts.hpp"
 #include "yhccl/model/dav_model.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "test_util.hpp"
@@ -344,14 +345,8 @@ TEST(BenchCompare, CounterMismatchBeatsTimingVerdict) {
 md::impl::OpCounts expected_ma_allreduce(std::size_t bytes, int p, int m,
                                          const coll::CollOpts& o,
                                          std::size_t scratch) {
-  md::impl::OpGeometry g;
-  g.p = p;
-  g.m = m;
-  g.slice_max = o.slice_max;
-  g.slice_min = o.slice_min;
-  g.dpml_chunk = o.dpml_chunk;
-  g.scratch_bytes = scratch;
-  return md::impl::ma_allreduce_ops(bytes, g);
+  return coll::op_counts(coll::CollKind::allreduce, coll::Algorithm::ma_flat,
+                         bytes, p, m, o, scratch);
 }
 
 RankFn ma_allreduce_fn(const coll::CollOpts& o, std::size_t count) {

@@ -12,6 +12,7 @@
 
 #include "yhccl/baselines/baselines.hpp"
 #include "yhccl/coll/coll.hpp"
+#include "yhccl/coll/op_counts.hpp"
 #include "yhccl/model/dav_model.hpp"
 #include "yhccl/runtime/process_team.hpp"
 #include "test_util.hpp"
@@ -312,15 +313,28 @@ TEST(DavModel, TimeFromDav) {
 // Every collective arm × team shape × (divisible and ragged) message size,
 // on both the thread and the fork() backend: the measured deterministic
 // counters — DAV loads/stores, kernel dispatches, barrier arrivals and
-// progress-flag posts/waits — must equal the md::impl::*_ops simulators
-// EXACTLY.  This is the seed matrix for the bench comparator's counter
-// gate (docs/benchmarking.md): if an implementation's loop structure
-// drifts, this is the test that names the counter that moved.
+// progress-flag posts/waits — must equal coll::op_counts EXACTLY.  For the
+// schedule-built arms both sides run the same body, so a row that moves
+// names an executor whose booking drifted from the kernels and sync
+// primitives it stands for; the slot and xpmem rows check closed forms.
+// This is the seed matrix for the bench comparator's counter gate
+// (docs/benchmarking.md).
 
 using OpCounts = md::impl::OpCounts;
-using OpGeometry = md::impl::OpGeometry;
 
 constexpr std::size_t kParityScratch = 24u << 20;
+
+/// The model side of a parity row: counts for input `s` on (p, m).
+using CountsFn = OpCounts (*)(std::size_t s, int p, int m, const CollOpts&);
+
+template <CollKind K, Algorithm A>
+OpCounts derived(std::size_t s, int p, int m, const CollOpts& o) {
+  return op_counts(K, A, s, p, m, o, kParityScratch);
+}
+
+OpCounts xpmem_closed_form(std::size_t s, int p, int, const CollOpts&) {
+  return md::impl::xpmem_allreduce_ops(s, p);
+}
 
 OpCounts measured_counts(rt::Team& team) {
   OpCounts c;
@@ -352,20 +366,21 @@ OpCounts measured_counts(rt::Team& team) {
          << line("flag_waits", got.flag_waits, want.flag_waits);
 }
 
-/// One parity arm: how to run the implementation and which simulator
-/// predicts it.  `count` is the per-rank block for scatter-shaped input
-/// (model s = p·count·esize) and the whole vector otherwise (s = count·esize).
+/// One parity arm: how to run the implementation and what predicts it.
+/// `count` is the per-rank block for scatter-shaped input (model
+/// s = p·count·esize) and the whole vector otherwise (s = count·esize).
 struct ParityArm {
   const char* name;
   bool scatter_shaped;
-  OpCounts (*model)(std::size_t, const OpGeometry&);
+  CountsFn model;
   void (*run)(rt::RankCtx&, std::size_t count, const CollOpts&);
   bool thread_only = false;  ///< xpmem needs a shared address space
   bool slot_band = false;    ///< runs only counts within slot_capacity(p)
 };
 
 const ParityArm kParityArms[] = {
-    {"ma_reduce_scatter", true, md::impl::ma_reduce_scatter_ops,
+    {"ma_reduce_scatter", true,
+     derived<CollKind::reduce_scatter, Algorithm::ma_flat>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count * ctx.nranks()), recv(count);
        fill_buffer(send.data(), send.size(), Datatype::f64, ctx.rank(),
@@ -374,7 +389,7 @@ const ParityArm kParityArms[] = {
                          ReduceOp::sum, o);
      }},
     {"socket_ma_reduce_scatter", true,
-     md::impl::socket_ma_reduce_scatter_ops,
+     derived<CollKind::reduce_scatter, Algorithm::ma_socket_aware>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count * ctx.nranks()), recv(count);
        fill_buffer(send.data(), send.size(), Datatype::f64, ctx.rank(),
@@ -382,7 +397,8 @@ const ParityArm kParityArms[] = {
        socket_ma_reduce_scatter(ctx, send.data(), recv.data(), count,
                                 Datatype::f64, ReduceOp::sum, o);
      }},
-    {"dpml_reduce_scatter", true, md::impl::dpml_reduce_scatter_ops,
+    {"dpml_reduce_scatter", true, 
+     derived<CollKind::reduce_scatter, Algorithm::dpml_two_level>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count * ctx.nranks()), recv(count);
        fill_buffer(send.data(), send.size(), Datatype::f64, ctx.rank(),
@@ -390,7 +406,8 @@ const ParityArm kParityArms[] = {
        dpml_two_level_reduce_scatter(ctx, send.data(), recv.data(), count,
                                      Datatype::f64, ReduceOp::sum, o);
      }},
-    {"ma_allreduce", false, md::impl::ma_allreduce_ops,
+    {"ma_allreduce", false,
+     derived<CollKind::allreduce, Algorithm::ma_flat>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -398,7 +415,8 @@ const ParityArm kParityArms[] = {
        ma_allreduce(ctx, send.data(), recv.data(), count, Datatype::f64,
                     ReduceOp::sum, o);
      }},
-    {"socket_ma_allreduce", false, md::impl::socket_ma_allreduce_ops,
+    {"socket_ma_allreduce", false, 
+     derived<CollKind::allreduce, Algorithm::ma_socket_aware>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -406,7 +424,8 @@ const ParityArm kParityArms[] = {
        socket_ma_allreduce(ctx, send.data(), recv.data(), count,
                            Datatype::f64, ReduceOp::sum, o);
      }},
-    {"dpml_allreduce", false, md::impl::dpml_allreduce_ops,
+    {"dpml_allreduce", false, 
+     derived<CollKind::allreduce, Algorithm::dpml_two_level>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -414,7 +433,8 @@ const ParityArm kParityArms[] = {
        dpml_two_level_allreduce(ctx, send.data(), recv.data(), count,
                                 Datatype::f64, ReduceOp::sum, o);
      }},
-    {"ma_reduce", false, md::impl::ma_reduce_ops,
+    {"ma_reduce", false,
+     derived<CollKind::reduce, Algorithm::ma_flat>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -422,7 +442,8 @@ const ParityArm kParityArms[] = {
        ma_reduce(ctx, send.data(), recv.data(), count, Datatype::f64,
                  ReduceOp::sum, /*root=*/0, o);
      }},
-    {"socket_ma_reduce", false, md::impl::socket_ma_reduce_ops,
+    {"socket_ma_reduce", false, 
+     derived<CollKind::reduce, Algorithm::ma_socket_aware>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -430,7 +451,8 @@ const ParityArm kParityArms[] = {
        socket_ma_reduce(ctx, send.data(), recv.data(), count, Datatype::f64,
                         ReduceOp::sum, /*root=*/0, o);
      }},
-    {"dpml_reduce", false, md::impl::dpml_reduce_ops,
+    {"dpml_reduce", false, 
+     derived<CollKind::reduce, Algorithm::dpml_two_level>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -438,7 +460,8 @@ const ParityArm kParityArms[] = {
        dpml_two_level_reduce(ctx, send.data(), recv.data(), count,
                              Datatype::f64, ReduceOp::sum, /*root=*/0, o);
      }},
-    {"pipelined_broadcast", false, md::impl::pipelined_broadcast_ops,
+    {"pipelined_broadcast", false, 
+     derived<CollKind::broadcast, Algorithm::pipelined>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> buf(count);
        fill_buffer(buf.data(), count, Datatype::f64, ctx.rank(),
@@ -446,7 +469,8 @@ const ParityArm kParityArms[] = {
        pipelined_broadcast(ctx, buf.data(), count, Datatype::f64,
                            /*root=*/0, o);
      }},
-    {"pipelined_allgather", false, md::impl::pipelined_allgather_ops,
+    {"pipelined_allgather", false, 
+     derived<CollKind::allgather, Algorithm::pipelined>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count * ctx.nranks());
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -454,7 +478,7 @@ const ParityArm kParityArms[] = {
        pipelined_allgather(ctx, send.data(), recv.data(), count,
                            Datatype::f64, o);
      }},
-    {"xpmem_allreduce", false, md::impl::xpmem_allreduce_ops,
+    {"xpmem_allreduce", false, xpmem_closed_form,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts&) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -463,7 +487,8 @@ const ParityArm kParityArms[] = {
                        ReduceOp::sum);
      },
      /*thread_only=*/true},
-    {"slot_allreduce", false, md::impl::slot_allreduce_ops,
+    {"slot_allreduce", false, 
+     derived<CollKind::allreduce, Algorithm::slot>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -472,7 +497,8 @@ const ParityArm kParityArms[] = {
                       ReduceOp::sum, o);
      },
      false, /*slot_band=*/true},
-    {"slot_reduce", false, md::impl::slot_reduce_ops,
+    {"slot_reduce", false, 
+     derived<CollKind::reduce, Algorithm::slot>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> send(count), recv(count);
        fill_buffer(send.data(), count, Datatype::f64, ctx.rank(),
@@ -481,7 +507,8 @@ const ParityArm kParityArms[] = {
                    ReduceOp::sum, /*root=*/ctx.nranks() - 1, o);
      },
      false, /*slot_band=*/true},
-    {"slot_broadcast", false, md::impl::slot_broadcast_ops,
+    {"slot_broadcast", false, 
+     derived<CollKind::broadcast, Algorithm::slot>,
      [](rt::RankCtx& ctx, std::size_t count, const CollOpts& o) {
        std::vector<double> buf(count);
        fill_buffer(buf.data(), count, Datatype::f64, ctx.rank(),
@@ -503,14 +530,6 @@ void run_parity_matrix(rt::Team& team, int p, int m,
                        bool is_thread_team = true) {
   CollOpts o;
   o.slice_max = 4u << 10;
-  OpGeometry g;
-  g.p = p;
-  g.m = m;
-  g.slice_max = o.slice_max;
-  g.slice_min = o.slice_min;
-  g.dpml_chunk = o.dpml_chunk;
-  g.scratch_bytes = kParityScratch;
-  g.dpml_flat = o.dpml_flat;
   // The slot band: at the capacity, ragged, tiny and a single element.
   const std::size_t slot_counts[] = {rt::slot_capacity(p) / 8, 333, 17, 1};
   for (const auto& arm : kParityArms) {
@@ -522,7 +541,7 @@ void run_parity_matrix(rt::Team& team, int p, int m,
       team.run([&](rt::RankCtx& ctx) { arm.run(ctx, count, o); });
       const std::size_t s =
           count * 8 * (arm.scatter_shaped ? static_cast<std::size_t>(p) : 1);
-      EXPECT_TRUE(counts_equal(measured_counts(team), arm.model(s, g)))
+      EXPECT_TRUE(counts_equal(measured_counts(team), arm.model(s, p, m, o)))
           << arm.name << " p=" << p << " m=" << m << " count=" << count;
     }
   }
