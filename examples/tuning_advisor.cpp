@@ -6,6 +6,7 @@
 // exposed for humans.
 //
 //   $ ./examples/tuning_advisor [ranks] [sockets] [node_a|node_b|cluster_c|detect]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +22,11 @@ namespace md = yhccl::model;
 int main(int argc, char** argv) {
   const int p = argc > 1 ? std::atoi(argv[1]) : 64;
   const int m = argc > 2 ? std::atoi(argv[2]) : 2;
+  if (p < 1 || p > rt::kMaxRanks || m < 1 ||
+      m > std::min(p, rt::kMaxSockets)) {
+    std::fprintf(stderr, "no team has %d ranks over %d sockets\n", p, m);
+    return 2;
+  }
   copy::CacheConfig cache = copy::CacheConfig::node_a();
   const char* preset = argc > 3 ? argv[3] : "node_a";
   if (std::strcmp(preset, "node_b") == 0) cache = copy::CacheConfig::node_b();

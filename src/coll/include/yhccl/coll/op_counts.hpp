@@ -20,7 +20,9 @@ namespace yhccl::coll {
 /// reduce-scatter input vector (p·count·esize) for reduce_scatter, the
 /// per-rank message otherwise.  A reduction `a` other than slot, DPML or
 /// socket-MA counts flat MA; broadcast and allgather count the pipeline
-/// unless `a` is slot.
+/// unless `a` is slot.  Raises yhccl::Error for a shape no team can have
+/// (ranks outside [1, kMaxRanks], sockets outside [1, min(ranks,
+/// kMaxSockets)]).
 model::impl::OpCounts op_counts(CollKind kind, Algorithm a, std::size_t s,
                                 int ranks, int sockets, const CollOpts& opts,
                                 std::size_t scratch_bytes = 64u << 20);

@@ -32,10 +32,12 @@ model::impl::OpCounts op_counts(CollKind kind, Algorithm a, std::size_t s,
   const std::size_t bytes =
       kind == CollKind::reduce_scatter ? s / static_cast<std::size_t>(ranks)
                                        : s;
+  YHCCL_REQUIRE(ranks >= 1 && ranks <= rt::kMaxRanks && sockets >= 1 &&
+                    sockets <= std::min(ranks, rt::kMaxSockets),
+                "op_counts: no team has this (ranks, sockets) shape");
   mi::OpCounts c;
   if (bytes == 0) return c;
-  // No team has more sockets than ranks.
-  const rt::Topology topo(ranks, std::clamp(sockets, 1, ranks));
+  const rt::Topology topo(ranks, sockets);
   for (int r = 0; r < ranks; ++r) {
     detail::CountExec x(topo, r, opts, scratch_bytes, c);
     schedule(x, kind, bytes, /*root=*/0);

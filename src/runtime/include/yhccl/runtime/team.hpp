@@ -42,6 +42,9 @@ namespace yhccl::rt {
 inline constexpr int kMaxRanks = 256;
 inline constexpr int kMaxSockets = 16;
 inline constexpr int kRegistrySlots = 4;
+/// Bytes of a forked rank's error message the parent can report (with the
+/// terminating NUL); longer messages are truncated.
+inline constexpr std::size_t kRankErrorBytes = 256;
 
 // The barriers in sync.hpp and the fault subsystem size their per-rank
 // arrays independently (header cycle); a team must never exceed either.
@@ -121,6 +124,9 @@ struct TeamShared {
   double time_out[kMaxRanks]{};    ///< per-rank wall time of the last run()
   copy::KernelCounts kernels_out[kMaxRanks]{};  ///< per-rank ISA-tier calls
   SyncCounts sync_out[kMaxRanks]{};             ///< per-rank sync-op counts
+  /// A forked rank's exception message, written by the child before it
+  /// exits with an error (process_team.cpp) — no allocation after fork.
+  char error_out[kMaxRanks][kRankErrorBytes]{};
   alignas(kCacheline) mc::atomic<std::uint64_t> heap_cursor{0};
   struct alignas(kCacheline) Persist {
     std::uint64_t coll_seq = 0;

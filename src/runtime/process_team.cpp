@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
@@ -24,6 +25,13 @@ void sleep_us(long us) noexcept {
   nanosleep(&ts, nullptr);
 }
 
+/// Child side, after fork: copy the message into the rank's mailbox,
+/// truncated, without allocating.
+void note_error(char (&out)[kRankErrorBytes], const char* what) noexcept {
+  std::strncpy(out, what, kRankErrorBytes - 1);
+  out[kRankErrorBytes - 1] = '\0';
+}
+
 }  // namespace
 
 void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
@@ -32,6 +40,7 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
 
   std::vector<pid_t> children(static_cast<std::size_t>(nranks()), -1);
   for (int r = 0; r < nranks(); ++r) {
+    shared().error_out[r][0] = '\0';  // no stale message from a past run
     const pid_t pid = fork();
     YHCCL_CHECK_SYS(pid, "fork");
     if (pid == 0) {
@@ -46,9 +55,11 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
       } catch (const std::exception& e) {
         std::fprintf(stderr, "[yhccl rank %d pid %d] %s\n", r, getpid(),
                      e.what());
+        note_error(shared().error_out[r], e.what());
         code = 1;
       } catch (...) {
         std::fprintf(stderr, "[yhccl rank %d] unknown exception\n", r);
+        note_error(shared().error_out[r], "unknown exception");
         code = 1;
       }
       // _exit: skip atexit/static destructors we share with the parent.
@@ -64,6 +75,8 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
   int alive = nranks();
   int deaths = 0;
   int failures = 0;
+  int first_failed = -1;  // lowest rank that exited with an error
+  int first_status = 0;   // and its exit status
   double kill_deadline = -1.0;
   while (alive > 0) {
     bool reaped_any = false;
@@ -94,6 +107,10 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
             std::memory_order_acq_rel, std::memory_order_acquire);
       } else if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
         ++failures;
+        if (first_failed < 0 || r < first_failed) {
+          first_failed = r;
+          first_status = WEXITSTATUS(status);
+        }
       }
     }
     if (alive == 0) break;
@@ -118,10 +135,15 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
   }
 
   if (deaths == 0 && failures == 0) return;
-  const std::string tally = std::to_string(deaths) + " of " +
-                            std::to_string(nranks()) +
-                            " rank processes died, " +
-                            std::to_string(failures) + " exited with errors";
+  std::string tally = std::to_string(deaths) + " of " +
+                      std::to_string(nranks()) + " rank processes died, " +
+                      std::to_string(failures) + " exited with errors";
+  if (first_failed >= 0) {
+    const char* msg = shared().error_out[first_failed];
+    tally += "; rank " + std::to_string(first_failed) + ": " +
+             (*msg != '\0' ? std::string(msg, strnlen(msg, kRankErrorBytes))
+                            : "exit status " + std::to_string(first_status));
+  }
   const std::uint64_t w = fs.abort_word.load(std::memory_order_acquire);
   if (w != 0) {
     const FaultInfo f = FaultState::unpack(w);

@@ -269,8 +269,8 @@ TEST(ProcessColl, ByteCountOverflowRaises) {
   const std::size_t huge = SIZE_MAX / 4;
   const std::size_t wide = SIZE_MAX / 16;
   double x[4] = {1, 1, 1, 1}, y[4] = {0, 0, 0, 0};
-  // Forked ranks report their own error: each catches it and records
-  // whether it is the overflow check's.
+  // Each forked rank catches its error and records whether it is the
+  // overflow check's; then, uncaught, the parent reports rank 0's message.
   auto* hit = reinterpret_cast<int*>(team.shared_alloc(4 * sizeof(int)));
   const auto raises = [&](const char* what, auto&& call) {
     team.run([&](rt::RankCtx& ctx) {
@@ -283,6 +283,16 @@ TEST(ProcessColl, ByteCountOverflowRaises) {
       }
     });
     for (int r = 0; r < 4; ++r) EXPECT_EQ(hit[r], 1) << what << " rank " << r;
+    try {
+      team.run([&](rt::RankCtx& ctx) { call(ctx); });
+      ADD_FAILURE() << what << ": the parent saw no error";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("4 exited with errors; rank 0: "), std::string::npos)
+          << what << ": " << msg;
+      EXPECT_NE(msg.find("overflows size_t"), std::string::npos)
+          << what << ": " << msg;
+    }
   };
   raises("allreduce", [&](rt::RankCtx& ctx) {
     coll::allreduce(ctx, x, y, huge, Datatype::f64, ReduceOp::sum);
@@ -307,6 +317,37 @@ TEST(ProcessColl, ByteCountOverflowRaises) {
     out[ctx.rank()] = g[0] + g[1] + g[2] + g[3];
   });
   for (int r = 0; r < 4; ++r) EXPECT_EQ(out[r], 4.0) << "rank " << r;
+}
+
+TEST(ProcessColl, ParentReportsTheLowestFailingRanksMessage) {
+  auto& team = process_team(4, 2);
+  const std::string tail(400, 'x');
+  try {
+    team.run([&](rt::RankCtx& ctx) {
+      if (ctx.rank() == 3) raise("rank three's message " + tail);
+      if (ctx.rank() == 1) raise("known failure from rank one");
+    });
+    ADD_FAILURE() << "the parent saw no error";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "ProcessTeam: 0 of 4 rank processes died, 2 exited with "
+                 "errors; rank 1: known failure from rank one");
+  }
+  // A long message arrives truncated to its fixed-size mailbox.
+  try {
+    team.run([&](rt::RankCtx& ctx) {
+      if (ctx.rank() == 2) raise("long " + tail);
+    });
+    ADD_FAILURE() << "the parent saw no error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    const std::string kept =
+        ("long " + tail).substr(0, rt::kRankErrorBytes - 1);
+    EXPECT_EQ(msg, "ProcessTeam: 0 of 4 rank processes died, 1 exited with "
+                   "errors; rank 2: " + kept);
+  }
+  // The failures left no stale message behind: the team runs on.
+  team.run([](rt::RankCtx&) {});
 }
 
 }  // namespace

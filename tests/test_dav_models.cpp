@@ -7,7 +7,9 @@
 // within their constant bookkeeping terms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "yhccl/baselines/baselines.hpp"
@@ -545,6 +547,64 @@ void run_parity_matrix(rt::Team& team, int p, int m,
           << arm.name << " p=" << p << " m=" << m << " count=" << count;
     }
   }
+}
+
+// ---- derived counts where no team runs ---------------------------------------
+// The cost model prices shapes no parity row runs (dpml_max at p = 64,
+// m = 2 decides DPML up to ~1 MB).  There the schedule-derived DAV must
+// equal the independent closed-form byte models wherever md::impl::
+// documents one: slice-divisible sizes, and flat grouping for DPML.
+
+TEST(DerivedCounts, MatchTheClosedFormsWhereNoTeamRuns) {
+  CollOpts o;
+  o.slice_max = 4u << 10;
+  o.dpml_chunk = 4u << 10;
+  CollOpts flat = o;
+  flat.dpml_flat = true;
+  using K = CollKind;
+  using A = Algorithm;
+  int shapes = 0;
+  for (int p : {2, 3, 4, 8, 16, 64}) {
+    for (int m = 1; m <= std::min(p, rt::kMaxSockets); ++m) {
+      if (p % m != 0) continue;
+      ++shapes;
+      const auto dav = [&](K k, A a, std::size_t s, const CollOpts& opts) {
+        return op_counts(k, a, s, p, m, opts).dav();
+      };
+      const std::string at = "p=" + std::to_string(p) +
+                             " m=" + std::to_string(m);
+      for (std::size_t rounds : {1, 3}) {
+        // Reduce-scatter input and whole messages: p blocks of `rounds`
+        // slices each.
+        const std::size_t s = static_cast<std::size_t>(p) * rounds * 4096;
+        EXPECT_EQ(dav(K::reduce_scatter, A::ma_flat, s, o),
+                  md::impl::ma_reduce_scatter(s, p)) << at;
+        EXPECT_EQ(dav(K::allreduce, A::ma_flat, s, o),
+                  md::impl::ma_allreduce(s, p)) << at;
+        EXPECT_EQ(dav(K::reduce, A::ma_flat, s, o), md::impl::ma_reduce(s, p))
+            << at;
+        // On one socket the socket-aware arm runs flat MA.
+        EXPECT_EQ(dav(K::reduce_scatter, A::ma_socket_aware, s, o),
+                  m > 1 ? md::impl::socket_ma_reduce_scatter(s, p, m)
+                        : md::impl::ma_reduce_scatter(s, p)) << at;
+        EXPECT_EQ(dav(K::allreduce, A::ma_socket_aware, s, o),
+                  m > 1 ? md::impl::socket_ma_allreduce(s, p, m)
+                        : md::impl::ma_allreduce(s, p)) << at;
+        EXPECT_EQ(dav(K::reduce, A::ma_socket_aware, s, o),
+                  m > 1 ? md::impl::socket_ma_reduce(s, p, m)
+                        : md::impl::ma_reduce(s, p)) << at;
+        EXPECT_EQ(dav(K::reduce_scatter, A::dpml_two_level, s, flat),
+                  md::impl::dpml_reduce_scatter(s, p)) << at;
+        EXPECT_EQ(dav(K::allreduce, A::dpml_two_level, s, flat),
+                  md::impl::dpml_allreduce(s, p)) << at;
+        EXPECT_EQ(dav(K::broadcast, A::pipelined, s, o),
+                  md::impl::pipelined_broadcast(s, p)) << at;
+        EXPECT_EQ(dav(K::allgather, A::pipelined, s, o),
+                  md::impl::pipelined_allgather(s, p)) << at;
+      }
+    }
+  }
+  EXPECT_EQ(shapes, 2 + 2 + 3 + 4 + 5 + 5);  // the m dividing each p
 }
 
 TEST(CounterParity, MatrixOnThreadTeams) {
