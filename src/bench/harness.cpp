@@ -228,8 +228,7 @@ Summary timed_run(rt::Team& team, const RankFn& fn, const RunPolicy& policy,
 
 Counters measure_counters(rt::Team& team, const RankFn& fn) {
   // Deliberately no harness barrier and no timing inside the run: the
-  // captured totals must match the model::impl:: simulators operation for
-  // operation.
+  // captured totals must match coll::op_counts operation for operation.
   team.run(fn);
   Counters c;
   c.dav = team.total_dav();

@@ -12,8 +12,8 @@
 //  * median + MAD outlier rejection (stats.hpp);
 //  * one *untimed* run capturing the deterministic counters (DAV bytes,
 //    per-ISA-tier kernel dispatches, barrier/flag sync ops) with no
-//    harness-inserted synchronization, so the totals equal the
-//    model::impl:: operation-count simulators exactly.
+//    harness-inserted synchronization, so the totals equal the op counts
+//    coll::op_counts derives from the schedules exactly.
 //
 // Results accumulate in a Session and serialize to a versioned JSON report
 // ("yhccl-bench/1") that bench/bench_compare.cpp merges, validates and
@@ -67,7 +67,7 @@ struct MachineInfo {
 };
 
 /// The deterministic counters of one team run, summed over all ranks —
-/// exactly what the model::impl::*_ops simulators predict.
+/// exactly what coll::op_counts predicts.
 struct Counters {
   copy::Dav dav;
   copy::KernelCounts kernels;
@@ -111,7 +111,7 @@ Summary timed_run(rt::Team& team, const RankFn& fn, const RunPolicy& policy,
                   const IterHook& between_iters = {});
 
 /// One untimed run with no harness-inserted synchronization; returns the
-/// team-total counters (equal to the matching model::impl::*_ops result).
+/// team-total counters (equal to the matching coll::op_counts result).
 Counters measure_counters(rt::Team& team, const RankFn& fn);
 
 /// Full cell measurement: counters via measure_counters, timing via

@@ -25,35 +25,23 @@ namespace detail {
 
 namespace {
 
+/// DPML's groups: the sockets, or p singletons in flat mode and on one
+/// socket.
 struct Groups {
-  int m;  ///< number of groups (sockets, or p singletons in flat mode)
-  int base[rt::kMaxRanks];
-  int size[rt::kMaxRanks];
-  int my_group, my_index;
-};
+  const rt::Topology& topo;
+  int p;
+  bool flat;
 
-/// Only the first `m` entries are set.
-Groups make_groups(const rt::Topology& topo, int p, int rank, bool flat) {
-  Groups g;
-  if (flat || topo.nsockets() == 1) {
-    g.m = p;
-    for (int i = 0; i < g.m; ++i) {
-      g.base[i] = i;
-      g.size[i] = 1;
-    }
-    g.my_group = rank;
-    g.my_index = 0;
-  } else {
-    g.m = topo.nsockets();
-    for (int s = 0; s < g.m; ++s) {
-      g.base[s] = topo.socket_base(s);
-      g.size[s] = topo.socket_size(s);
-    }
-    g.my_group = topo.socket_of(rank);
-    g.my_index = topo.socket_rank(rank);
+  int count() const noexcept { return flat ? p : topo.nsockets(); }
+  int base(int x) const noexcept { return flat ? x : topo.socket_base(x); }
+  int size(int x) const noexcept { return flat ? 1 : topo.socket_size(x); }
+  int of(int rank) const noexcept {
+    return flat ? rank : topo.socket_of(rank);
   }
-  return g;
-}
+  int index_of(int rank) const noexcept {
+    return flat ? 0 : topo.socket_rank(rank);
+  }
+};
 
 }  // namespace
 
@@ -69,7 +57,7 @@ void dpml_schedule(X& x, CollKind kind, std::size_t bytes, int root) {
   const auto S = BlockSlicing::of(kind, bytes, p, o);
   if (p == 1) return x.self_copy(S.total);
   const auto r = static_cast<std::size_t>(x.rank());
-  const Groups g = make_groups(x.topo(), p, x.rank(), o.dpml_flat);
+  const Groups g{x.topo(), p, o.dpml_flat || x.topo().nsockets() == 1};
   const std::size_t I = S.slice;
   const std::size_t RB = pp * I;  // staged per rank
 
@@ -79,15 +67,19 @@ void dpml_schedule(X& x, CollKind kind, std::size_t bytes, int root) {
   const auto stage_of = [&](int rank) {
     return staging + static_cast<std::size_t>(rank) * RB;
   };
-  x.set_work_set(WorkSet::allreduce(S.total, p, g.m, I));  // conservative
+  x.set_work_set(
+      WorkSet::allreduce(S.total, p, g.count(), I));  // conservative
 
   // Stage 1's closing barrier must be team-uniform: with heterogeneous
   // socket sizes (e.g. 3 ranks over 2 sockets) a singleton group does no
   // stage-1 work but still has to match its peers' barrier, or every later
   // barrier pairs off-by-one and the team deadlocks.
   bool any_multi = false;
-  for (int s = 0; s < g.m; ++s) any_multi = any_multi || g.size[s] > 1;
-  const int n = g.size[g.my_group];
+  for (int s = 0; s < g.count(); ++s) any_multi = any_multi || g.size(s) > 1;
+  const int group = g.of(x.rank());
+  const int leader = g.base(group);
+  const int n = g.size(group);
+  const int index = g.index_of(x.rank());
 
   for (std::size_t t = 0; t < S.nrounds; ++t) {
     // Copy-in: my sub-slice of every block, gathered into my staging.
@@ -105,16 +97,15 @@ void dpml_schedule(X& x, CollKind kind, std::size_t bytes, int root) {
     // Stage 1: intra-group reduction into the group leader's staging.
     if (n > 1) {
       auto batch = x.batch(trace::Phase::reduce, 0);
-      const int lo = g.my_index * p / n;
-      const int hi = (g.my_index + 1) * p / n;
+      const int lo = index * p / n;
+      const int hi = (index + 1) * p / n;
       for (int b = lo; b < hi; ++b) {
         const auto lb = static_cast<std::size_t>(b);
         const std::size_t len = S.len(lb, t);
         if (len == 0) continue;
         typename X::Src srcs[rt::kMaxRanks];
-        for (int i = 0; i < n; ++i)
-          srcs[i] = stage_of(g.base[g.my_group] + i) + lb * I;
-        x.reduce_multi(stage_of(g.base[g.my_group]) + lb * I, srcs, n, len,
+        for (int i = 0; i < n; ++i) srcs[i] = stage_of(leader + i) + lb * I;
+        x.reduce_multi(stage_of(leader) + lb * I, srcs, n, len,
                        /*deliver=*/false);
       }
     }
@@ -125,10 +116,11 @@ void dpml_schedule(X& x, CollKind kind, std::size_t bytes, int root) {
     const std::size_t len_r = S.len(r, t);
     if (len_r > 0) {
       typename X::Src srcs[rt::kMaxRanks];
-      for (int s = 0; s < g.m; ++s) srcs[s] = stage_of(g.base[s]) + r * I;
+      for (int s = 0; s < g.count(); ++s)
+        srcs[s] = stage_of(g.base(s)) + r * I;
       x.reduce_multi(scatters(kind) ? x.recv(S.off_in_block(t))
                                     : node_res + r * I,
-                     srcs, g.m, len_r, /*deliver=*/scatters(kind));
+                     srcs, g.count(), len_r, /*deliver=*/scatters(kind));
     }
     x.barrier();
 

@@ -1,8 +1,8 @@
 // Unit tests for the unified benchmark harness (src/bench): the robust
 // statistics kernels, the exact-integer JSON round-trip, the report
 // validator/merger, the comparator verdicts, and one tiny end-to-end
-// measure_series whose counters must equal the md::impl:: simulator —
-// the same gate the CI perf-smoke leg applies.
+// measure_series whose counters must equal coll::op_counts — the same
+// gate the CI perf-smoke leg applies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
