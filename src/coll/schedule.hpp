@@ -215,7 +215,7 @@ class CountExec {
   void self_copy(std::size_t n) noexcept { book(n, n); }
 
   struct Batch {
-    ~Batch() {}  // user-provided: a guard nobody names is not "unused"
+    ~Batch() {}  // non-trivial: the schedules' unread guards draw no warning
   };
   Batch batch(trace::Phase, std::size_t) const noexcept { return {}; }
 

@@ -124,9 +124,6 @@ struct TeamShared {
   double time_out[kMaxRanks]{};    ///< per-rank wall time of the last run()
   copy::KernelCounts kernels_out[kMaxRanks]{};  ///< per-rank ISA-tier calls
   SyncCounts sync_out[kMaxRanks]{};             ///< per-rank sync-op counts
-  /// A forked rank's exception message, written by the child before it
-  /// exits with an error (process_team.cpp) — no allocation after fork.
-  char error_out[kMaxRanks][kRankErrorBytes]{};
   alignas(kCacheline) mc::atomic<std::uint64_t> heap_cursor{0};
   struct alignas(kCacheline) Persist {
     std::uint64_t coll_seq = 0;
@@ -313,6 +310,14 @@ class Team {
   virtual void run_ranks(const std::function<void(int)>& wrapped) = 0;
   /// Ranks are fork()ed processes (enables pid probing and rank exclusion).
   virtual bool forked_ranks() const noexcept { return false; }
+  /// Rank r's error mailbox, kRankErrorBytes: a forked rank writes its
+  /// exception message there before it exits with an error, without
+  /// allocating (process_team.cpp).  Its own section, never initialized:
+  /// its pages cost nothing until a rank fails.
+  char* rank_error(int r) noexcept {
+    return reinterpret_cast<char*>(region_.data() + off_errors_) +
+           static_cast<std::size_t>(r) * kRankErrorBytes;
+  }
 
   TeamConfig cfg_;
   int nranks_ = 0;           ///< active membership (≤ cfg_.nranks)
@@ -338,6 +343,7 @@ class Team {
   std::size_t off_trace_ = 0;
   std::size_t off_plans_ = 0;
   std::size_t off_metrics_ = 0;
+  std::size_t off_errors_ = 0;
   TeamShared* shared_ = nullptr;
   analysis::HbChecker* hb_ = nullptr;
   trace::TraceBuffer* trace_ = nullptr;

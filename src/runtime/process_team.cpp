@@ -27,7 +27,7 @@ void sleep_us(long us) noexcept {
 
 /// Child side, after fork: copy the message into the rank's mailbox,
 /// truncated, without allocating.
-void note_error(char (&out)[kRankErrorBytes], const char* what) noexcept {
+void note_error(char* out, const char* what) noexcept {
   std::strncpy(out, what, kRankErrorBytes - 1);
   out[kRankErrorBytes - 1] = '\0';
 }
@@ -40,7 +40,7 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
 
   std::vector<pid_t> children(static_cast<std::size_t>(nranks()), -1);
   for (int r = 0; r < nranks(); ++r) {
-    shared().error_out[r][0] = '\0';  // no stale message from a past run
+    rank_error(r)[0] = '\0';  // no stale message from a past run
     const pid_t pid = fork();
     YHCCL_CHECK_SYS(pid, "fork");
     if (pid == 0) {
@@ -55,11 +55,11 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
       } catch (const std::exception& e) {
         std::fprintf(stderr, "[yhccl rank %d pid %d] %s\n", r, getpid(),
                      e.what());
-        note_error(shared().error_out[r], e.what());
+        note_error(rank_error(r), e.what());
         code = 1;
       } catch (...) {
         std::fprintf(stderr, "[yhccl rank %d] unknown exception\n", r);
-        note_error(shared().error_out[r], "unknown exception");
+        note_error(rank_error(r), "unknown exception");
         code = 1;
       }
       // _exit: skip atexit/static destructors we share with the parent.
@@ -139,7 +139,7 @@ void ProcessTeam::run_ranks(const std::function<void(int)>& wrapped) {
                       std::to_string(nranks()) + " rank processes died, " +
                       std::to_string(failures) + " exited with errors";
   if (first_failed >= 0) {
-    const char* msg = shared().error_out[first_failed];
+    const char* msg = rank_error(first_failed);
     tally += "; rank " + std::to_string(first_failed) + ": " +
              (*msg != '\0' ? std::string(msg, strnlen(msg, kRankErrorBytes))
                             : "exit status " + std::to_string(first_status));

@@ -166,6 +166,9 @@ Team::Team(TeamConfig cfg) : cfg_(cfg), topo_(cfg.nranks, cfg.nsockets) {
   off = section(off, plan_bytes);
   off_metrics_ = off;
   off = section(off, metrics_bytes);
+  off_errors_ = off;
+  off = section(off, checked_mul(static_cast<std::size_t>(cfg_.nranks),
+                                 kRankErrorBytes, "rank error mailboxes"));
 
   region_ = ShmRegion::create_anonymous(off);
   shared_ = new (region_.data()) TeamShared();
