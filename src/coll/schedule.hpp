@@ -141,7 +141,9 @@ class RankExec {
         own_.emplace(ph, n);
     }
     bool active() const noexcept { return own_ && own_->active(); }
-    void set_nt(bool nt) noexcept { own_->set_variant(variant(nt)); }
+    void set_nt(bool nt) noexcept {
+      if (own_) own_->set_variant(variant(nt));
+    }
 
    private:
     std::optional<trace::Span> own_;

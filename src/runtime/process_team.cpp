@@ -28,8 +28,9 @@ void sleep_us(long us) noexcept {
 /// Child side, after fork: copy the message into the rank's mailbox,
 /// truncated, without allocating.
 void note_error(char* out, const char* what) noexcept {
-  std::strncpy(out, what, kRankErrorBytes - 1);
-  out[kRankErrorBytes - 1] = '\0';
+  std::size_t i = 0;
+  for (; i + 1 < kRankErrorBytes && what[i] != '\0'; ++i) out[i] = what[i];
+  out[i] = '\0';
 }
 
 }  // namespace
